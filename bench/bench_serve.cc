@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
 

@@ -67,9 +67,9 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/worker_link.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
-#include "runtime/json.h"
 #include "runtime/line_handler.h"
 
 namespace gqd {

@@ -1,5 +1,6 @@
 #include "definability/assignment_graph.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/failpoint.h"
@@ -22,6 +23,12 @@ std::uint64_t EncodeAssignment(const RegisterAssignment& assignment,
     code = code * base + digit;
   }
   return code;
+}
+
+/// a·b, saturating at the largest std::uint64_t.
+std::uint64_t SaturatingMul(std::uint64_t a, std::uint64_t b) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  return (b != 0 && a > kMax / b) ? kMax : a * b;
 }
 
 RegisterAssignment DecodeAssignment(std::uint64_t code, std::size_t k,
@@ -58,22 +65,44 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   ag.num_nodes_ = graph.NumNodes();
   ag.num_labels_ = graph.NumLabels();
   ag.num_values_ = graph.NumDataValues();
-  ag.assignment_codes_ = 1;
+  std::uint64_t codes = 1;
   for (std::size_t i = 0; i < k; i++) {
-    ag.assignment_codes_ *= (ag.num_values_ + 1);
+    codes = SaturatingMul(codes, ag.num_values_ + 1);
   }
-  ag.num_states_ = ag.num_nodes_ * ag.assignment_codes_;
-  if (ag.num_states_ > (std::size_t{1} << 24)) {
+  std::uint64_t states = SaturatingMul(ag.num_nodes_, codes);
+  std::size_t masks = std::size_t{1} << k;
+  if (states > (std::uint64_t{1} << 24)) {
+    if (budget != nullptr && budget->max_bytes() != 0) {
+      // Successor-list headers for every (mask, letter, state) plus one
+      // entry per (mask, edge, assignment) — what Build would charge.
+      std::uint64_t adjacency_bytes = SaturatingMul(
+          SaturatingMul(masks * std::max<std::size_t>(ag.num_labels_, 1),
+                        states),
+          sizeof(std::vector<Successor>));
+      std::uint64_t entry_bytes = SaturatingMul(
+          SaturatingMul(masks * graph.NumEdges(), codes), sizeof(Successor));
+      std::uint64_t estimate = adjacency_bytes + entry_bytes < adjacency_bytes
+                                   ? ~std::uint64_t{0}
+                                   : adjacency_bytes + entry_bytes;
+      return Status::ResourceExhausted(
+          "assignment graph too large for the byte budget: " +
+          std::to_string(states) + " states need ~" +
+          std::to_string(estimate) + " bytes of adjacency (budget " +
+          std::to_string(budget->max_bytes()) + " bytes, cap 2^24 states)");
+    }
     return Status::OutOfRange("assignment graph too large: " +
-                              std::to_string(ag.num_states_) + " states");
+                              std::to_string(states) + " states");
   }
+  ag.assignment_codes_ = codes;
+  ag.num_states_ = static_cast<std::size_t>(states);
 
   ag.num_patterns_ = std::size_t{1} << k;
-  std::size_t masks = std::size_t{1} << k;
   ag.adjacency_.assign(masks * ag.num_labels_ * ag.num_states_, {});
+  ag.adjacency_header_bytes_ =
+      ag.adjacency_.size() * sizeof(std::vector<Successor>);
   if (budget != nullptr) {
-    budget->ChargeBytes(static_cast<std::int64_t>(
-        ag.adjacency_.size() * sizeof(std::vector<Successor>)));
+    budget->ChargeBytes(
+        static_cast<std::int64_t>(ag.adjacency_header_bytes_));
     GQD_RETURN_NOT_OK(budget->Check());
   }
 
@@ -85,19 +114,21 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   bool build_kernel =
       ag.num_states_ > 0 &&
       num_rows <= kKernelMemoryBudgetBytes / 8 / (row_words == 0 ? 1 : row_words);
+  std::size_t kernel_bytes =
+      num_rows * row_words * sizeof(std::uint64_t) +
+      masks * ag.num_labels_ * ag.num_states_ * sizeof(std::uint16_t);
   if (build_kernel && budget != nullptr && budget->max_bytes() != 0) {
     // The kernel is an optimization: degrade (skip it) rather than fail the
     // request when it would not fit the remaining byte budget.
-    std::size_t kernel_bytes =
-        num_rows * row_words * sizeof(std::uint64_t) +
-        masks * ag.num_labels_ * ag.num_states_ * sizeof(std::uint16_t);
     if (budget->bytes_used() + kernel_bytes > budget->max_bytes()) {
       build_kernel = false;
+      ag.kernel_dropped_for_budget_ = true;
     } else {
       budget->ChargeBytes(static_cast<std::int64_t>(kernel_bytes));
     }
   }
   if (build_kernel) {
+    ag.kernel_bytes_ = kernel_bytes;
     ag.kernel_row_words_ = row_words;
     ag.kernel_words_.assign(num_rows * row_words, 0);
     ag.kernel_patterns_.assign(masks * ag.num_labels_ * ag.num_states_, 0);
@@ -146,6 +177,7 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
         }
       }
     }
+    ag.successor_bytes_ += successors_added * sizeof(Successor);
     if (budget != nullptr && successors_added > 0) {
       budget->ChargeBytes(
           static_cast<std::int64_t>(successors_added * sizeof(Successor)));
@@ -155,6 +187,36 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
     GQD_RETURN_NOT_OK(budget->Check());
   }
   return ag;
+}
+
+Status AssignmentGraph::ChargeReuse(const ResourceBudget* budget) const {
+  if (GQD_FAILPOINT_FIRED(fp_assignment_graph_build)) {
+    return Status::ResourceExhausted(
+        "injected allocation failure (failpoint assignment_graph.build)");
+  }
+  if (budget == nullptr) {
+    return Status::OK();
+  }
+  budget->ChargeBytes(static_cast<std::int64_t>(adjacency_header_bytes_));
+  GQD_RETURN_NOT_OK(budget->Check());
+  if (kernel_bytes_ != 0 && budget->max_bytes() != 0) {
+    budget->ChargeBytes(static_cast<std::int64_t>(kernel_bytes_));
+  }
+  if (successor_bytes_ != 0) {
+    budget->ChargeBytes(static_cast<std::int64_t>(successor_bytes_));
+  }
+  return budget->Check();
+}
+
+void AssignmentGraph::ReleaseKernelRows() {
+  std::vector<std::uint64_t>().swap(kernel_words_);
+  std::vector<std::uint16_t>().swap(kernel_patterns_);
+}
+
+std::size_t AssignmentGraph::HeldBytes() const {
+  return adjacency_header_bytes_ + successor_bytes_ +
+         kernel_words_.capacity() * sizeof(std::uint64_t) +
+         kernel_patterns_.capacity() * sizeof(std::uint16_t);
 }
 
 AgState AssignmentGraph::InitialState(NodeId v) const {

@@ -10,6 +10,13 @@
 // (r̄, a) pair and every state, the successor states *annotated with the
 // equality pattern of the target value against σ'* — a condition mask then
 // selects successors by pattern membership without re-deriving anything.
+//
+// T_G depends on (G, k) only, never on the relation S being checked, so one
+// built graph serves any number of checks over the same data graph: the
+// k-REM/RPQ checkers split into a per-(G, k) setup (KRemSetup in
+// definability/krem_definability.h) and a per-S search, and `gqd serve`
+// keeps the setups on the graph's registry entry. ChargeReuse replays the
+// build's failpoint and budget charges for such a reused graph.
 
 #ifndef GQD_DEFINABILITY_ASSIGNMENT_GRAPH_H_
 #define GQD_DEFINABILITY_ASSIGNMENT_GRAPH_H_
@@ -45,8 +52,43 @@ class AssignmentGraph {
   /// optional word-parallel kernel instead *degrades* — it is skipped when
   /// it would not fit the remaining budget, and callers fall back to
   /// SuccessorsOf (slower, but correct).
+  ///
+  /// Beyond 2^24 states the build is refused before allocating anything:
+  /// with OutOfRange, or — when `budget` carries a byte limit — with
+  /// ResourceExhausted naming the estimated adjacency bytes, so a budgeted
+  /// caller sees a budget outcome (CLI exit 4) rather than a hard error.
   static Result<AssignmentGraph> Build(const DataGraph& graph, std::size_t k,
                                        const ResourceBudget* budget = nullptr);
+
+  // --- Reuse across checks --------------------------------------------------
+
+  /// Bytes Build charged a budget: the successor-list headers and entries,
+  /// plus the kernel rows when the budget had a byte limit (only then is
+  /// the kernel charged).
+  std::uint64_t BuildChargeBytes(bool byte_limited) const {
+    return adjacency_header_bytes_ + successor_bytes_ +
+           (byte_limited ? kernel_bytes_ : 0);
+  }
+
+  /// True when Build skipped the kernel only to fit a byte budget: the
+  /// graph is then shaped by that one budget and must not be reused.
+  bool kernel_dropped_for_budget() const { return kernel_dropped_for_budget_; }
+
+  /// Replays, against `budget`, what Build did to it: the
+  /// assignment_graph.build failpoint, then the same charges in the same
+  /// order with the same exhaustion checks. Returns the status Build would
+  /// have returned — provided `budget` has room for BuildChargeBytes(true)
+  /// when it has a byte limit (otherwise Build would have dropped the
+  /// kernel or tripped mid-build, and the caller must build afresh).
+  Status ChargeReuse(const ResourceBudget* budget) const;
+
+  /// Frees the kernel rows once a consumer that never reads them (a
+  /// dispatch table without kDense transitions) is in place. has_kernel()
+  /// turns false; the recorded build charges stay as they were.
+  void ReleaseKernelRows();
+
+  /// Resident bytes: successor lists plus any kernel rows still held.
+  std::size_t HeldBytes() const;
 
   std::size_t k() const { return k_; }
   /// n · (δ+1)^k.
@@ -147,6 +189,11 @@ class AssignmentGraph {
   /// Achieved-pattern masks, indexed as in AchievedPatternsAt.
   std::vector<std::uint16_t> kernel_patterns_;
   std::size_t kernel_row_words_ = 0;
+  // Build's budget charges, for ChargeReuse and BuildChargeBytes.
+  std::uint64_t adjacency_header_bytes_ = 0;
+  std::uint64_t successor_bytes_ = 0;
+  std::uint64_t kernel_bytes_ = 0;  ///< 0 unless the kernel was built
+  bool kernel_dropped_for_budget_ = false;
 };
 
 }  // namespace gqd

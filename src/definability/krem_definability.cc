@@ -747,28 +747,16 @@ class SparseSuccessorGenerator {
 /// so any AdaptiveRelation backend drives it without densification.
 template <typename Rel>
 Result<KRemDefinabilityResult> CheckKRemDense(
-    const DataGraph& graph, const Rel& relation, std::size_t k,
+    const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options) {
   KRemDefinabilityResult result;
   std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
-  if (pairs.empty()) {
-    // The empty relation is definable (e.g. by a[¬⊤], or by any REM whose
-    // language contains no data path of the graph).
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
-  }
-
-  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
-                       AssignmentGraph::Build(graph, k, options.budget));
+  const AssignmentGraph& ag = setup.assignment_graph();
   std::size_t n = graph.NumNodes();
 
-  // The query-plan dispatch table (built only when the planned engine is
-  // requested; it declines over its memory budget, downgrading to kKernel).
-  KernelDispatchTable dispatch;
-  if (options.engine == KRemEngine::kPlanned) {
-    dispatch = KernelDispatchTable::Build(ag);
-  }
-  SuccessorGenerator generator(ag, n, options.engine, &dispatch,
+  // The query-plan dispatch table is part of the setup when the planned
+  // engine is requested; a disabled table downgrades to kKernel.
+  SuccessorGenerator generator(ag, n, options.engine, setup.dispatch(),
                                options.cancel);
   std::size_t set_words = generator.set_words();
   std::size_t tuple_words = generator.tuple_words();
@@ -1122,17 +1110,11 @@ Result<KRemDefinabilityResult> CheckKRemDense(
 /// `num_threads` are ignored.
 template <typename Rel>
 Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
-    const DataGraph& graph, const Rel& relation, std::size_t k,
+    const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options) {
   KRemDefinabilityResult result;
   std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
-  if (pairs.empty()) {
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
-  }
-
-  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
-                       AssignmentGraph::Build(graph, k, options.budget));
+  const AssignmentGraph& ag = setup.assignment_graph();
   std::size_t n = graph.NumNodes();
   SparseSuccessorGenerator generator(ag, options.cancel);
 
@@ -1340,6 +1322,17 @@ std::size_t DenseTupleFootprintBytes(std::size_t n, std::size_t num_values,
       mul(mul(n, set_words), sizeof(std::uint64_t)));
 }
 
+/// The search half on a built setup: the BFS of its tuple store.
+template <typename Rel>
+Result<KRemDefinabilityResult> SearchWithSetup(
+    const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
+    const KRemDefinabilityOptions& options) {
+  if (setup.tuple_store() == KRemTupleStore::kDense) {
+    return CheckKRemDense(setup, graph, relation, options);
+  }
+  return CheckKRemSparseFrontier(setup, graph, relation, options);
+}
+
 template <typename Rel>
 Result<KRemDefinabilityResult> CheckKRemDispatch(
     const DataGraph& graph, const Rel& relation, std::size_t k,
@@ -1348,20 +1341,90 @@ Result<KRemDefinabilityResult> CheckKRemDispatch(
     return Status::InvalidArgument(
         "relation is over a different node count than the graph");
   }
-  KRemTupleStore store = options.tuple_store;
-  if (store == KRemTupleStore::kAuto) {
-    store = DenseTupleFootprintBytes(graph.NumNodes(), graph.NumDataValues(),
-                                     k) <= kDenseTupleBytesCap
-                ? KRemTupleStore::kDense
-                : KRemTupleStore::kSparseFrontier;
+  if (relation.Empty()) {
+    // The empty relation is definable (e.g. by a[¬⊤], or by any REM whose
+    // language contains no data path of the graph) — no setup needed.
+    KRemDefinabilityResult result;
+    result.verdict = DefinabilityVerdict::kDefinable;
+    return result;
   }
-  if (store == KRemTupleStore::kDense) {
-    return CheckKRemDense(graph, relation, k, options);
-  }
-  return CheckKRemSparseFrontier(graph, relation, k, options);
+  GQD_ASSIGN_OR_RETURN(KRemSetup setup, BuildKRemSetup(graph, k, options));
+  return SearchWithSetup(setup, graph, relation, options);
 }
 
 }  // namespace
+
+Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
+                                 const KRemDefinabilityOptions& options) {
+  // Build first: it rejects k > 4 before the footprint loop runs k times.
+  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
+                       AssignmentGraph::Build(graph, k, options.budget));
+  KRemTupleStore auto_store =
+      DenseTupleFootprintBytes(graph.NumNodes(), graph.NumDataValues(), k) <=
+              kDenseTupleBytesCap
+          ? KRemTupleStore::kDense
+          : KRemTupleStore::kSparseFrontier;
+  KRemSetup setup(std::move(ag));
+  setup.auto_store_ = auto_store;
+  setup.store_ = options.tuple_store == KRemTupleStore::kAuto
+                     ? auto_store
+                     : options.tuple_store;
+  setup.engine_ = options.engine;
+  if (setup.store_ == KRemTupleStore::kDense &&
+      options.engine == KRemEngine::kPlanned) {
+    setup.dispatch_ = KernelDispatchTable::Build(setup.graph_);
+    setup.with_dispatch_ = true;
+    if (setup.dispatch_.enabled() &&
+        setup.dispatch_.class_counts()[static_cast<std::size_t>(
+            TransitionKernelClass::kDense)] == 0) {
+      setup.graph_.ReleaseKernelRows();
+    }
+  }
+  return setup;
+}
+
+bool KRemSetup::Suits(const KRemDefinabilityOptions& options) const {
+  KRemTupleStore store = options.tuple_store == KRemTupleStore::kAuto
+                             ? auto_store_
+                             : options.tuple_store;
+  // The sparse frontier store ignores the engine.
+  return store == store_ &&
+         (store_ == KRemTupleStore::kSparseFrontier ||
+          options.engine == engine_);
+}
+
+bool KRemSetup::ReusableFor(const KRemDefinabilityOptions& options) const {
+  const ResourceBudget* budget = options.budget;
+  return shareable() && Suits(options) &&
+         (budget == nullptr || budget->max_bytes() == 0 ||
+          budget->bytes_used() + graph_.BuildChargeBytes(true) <=
+              budget->max_bytes());
+}
+
+std::size_t KRemSetup::HeldBytes() const {
+  return graph_.HeldBytes() + (with_dispatch_ ? dispatch_.pool_bytes() : 0);
+}
+
+Result<KRemDefinabilityResult> CheckKRemDefinability(
+    const KRemSetup& setup, const DataGraph& graph,
+    const AdaptiveRelation& relation,
+    const KRemDefinabilityOptions& options) {
+  if (relation.num_nodes() != graph.NumNodes() ||
+      setup.assignment_graph().num_nodes() != graph.NumNodes()) {
+    return Status::InvalidArgument(
+        "relation, setup and graph disagree on the node count");
+  }
+  if (!setup.Suits(options)) {
+    return Status::InvalidArgument(
+        "the k-REM setup was built for another engine or tuple store");
+  }
+  if (relation.Empty()) {
+    KRemDefinabilityResult result;
+    result.verdict = DefinabilityVerdict::kDefinable;
+    return result;
+  }
+  return SearchWithSetup(setup, graph, relation, options);
+}
 
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const BinaryRelation& relation, std::size_t k,

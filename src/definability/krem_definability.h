@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/plan/kernel_dispatch.h"
 #include "common/budget.h"
 #include "common/cancel.h"
 #include "common/interner.h"
@@ -123,8 +124,75 @@ struct KRemDefinabilityResult {
   std::optional<PartialProgress> partial;
 };
 
+/// The per-(G, k) half of a k-REM check: the assignment graph T_G of
+/// Definition 19 and, for the planned engine on the dense tuple store, its
+/// kernel dispatch table. Neither depends on S, so one setup decides any
+/// number of relations over the same graph (CheckKRemDefinability with a
+/// setup, below). Immutable once built; safe to share across threads.
+///
+/// When the dispatch table is enabled and classifies no transition as
+/// kDense, the planned engine never reads the assignment graph's kernel
+/// rows, so the setup releases them (the successor lists stay).
+class KRemSetup {
+ public:
+  std::size_t k() const { return graph_.k(); }
+  const AssignmentGraph& assignment_graph() const { return graph_; }
+  /// The dispatch table, or nullptr when none was built (non-planned
+  /// engine or sparse frontier store).
+  const KernelDispatchTable* dispatch() const {
+    return with_dispatch_ ? &dispatch_ : nullptr;
+  }
+  /// The tuple store the search runs on (kDense or kSparseFrontier).
+  KRemTupleStore tuple_store() const { return store_; }
+
+  /// Could a fresh build for a check with `options` on this graph differ
+  /// from this setup? False when the engine or tuple store would build a
+  /// different setup, or when options.budget could change the build: a
+  /// byte limit the recorded charges could reach (Build drops the kernel
+  /// or trips under it). A reusable setup plus ChargeReuse reproduces the
+  /// cold check exactly — verdict, tuples_explored, partial progress.
+  bool ReusableFor(const KRemDefinabilityOptions& options) const;
+
+  /// True when a check with `options` runs on this setup's shape: the same
+  /// tuple store and, on the dense store, the same engine.
+  bool Suits(const KRemDefinabilityOptions& options) const;
+
+  /// True when nothing about this setup was shaped by the budget it was
+  /// built under, so it may serve other checks.
+  bool shareable() const { return !graph_.kernel_dropped_for_budget(); }
+
+  /// Replays the build's failpoint and budget charges (see
+  /// AssignmentGraph::ChargeReuse) for a check that reuses this setup.
+  Status ChargeReuse(const ResourceBudget* budget) const {
+    return graph_.ChargeReuse(budget);
+  }
+
+  /// Resident bytes of the assignment graph and dispatch table.
+  std::size_t HeldBytes() const;
+
+ private:
+  friend Result<KRemSetup> BuildKRemSetup(const DataGraph& graph,
+                                          std::size_t k,
+                                          const KRemDefinabilityOptions&);
+  explicit KRemSetup(AssignmentGraph graph) : graph_(std::move(graph)) {}
+
+  AssignmentGraph graph_;
+  KernelDispatchTable dispatch_;
+  bool with_dispatch_ = false;
+  KRemTupleStore store_ = KRemTupleStore::kDense;
+  KRemTupleStore auto_store_ = KRemTupleStore::kDense;  ///< what kAuto picks
+  KRemEngine engine_ = KRemEngine::kPlanned;
+};
+
+/// Builds the setup a check with `options` needs for `graph` and k,
+/// charging options.budget exactly as the check itself would. Fails as
+/// AssignmentGraph::Build does (k > 4, state cap, budget, failpoint).
+Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
+                                 const KRemDefinabilityOptions& options = {});
+
 /// Decides whether S is definable by an RDPQ_mem using at most k registers.
-/// Requires k <= 4 (see AssignmentGraph::Build).
+/// Requires k <= 4 (see AssignmentGraph::Build). Builds the setup
+/// (BuildKRemSetup) and runs the search on it.
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const BinaryRelation& relation, std::size_t k,
     const KRemDefinabilityOptions& options = {});
@@ -135,6 +203,15 @@ Result<KRemDefinabilityResult> CheckKRemDefinability(
 /// the dense overload on the same pair set.
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation, std::size_t k,
+    const KRemDefinabilityOptions& options = {});
+
+/// The search half alone, on a prebuilt `setup` for this `graph`
+/// (InvalidArgument unless setup.Suits(options)). Charges options.budget
+/// only for the search: a caller reusing a setup built for another check
+/// calls setup.ChargeReuse first. An empty S is decided without the setup.
+Result<KRemDefinabilityResult> CheckKRemDefinability(
+    const KRemSetup& setup, const DataGraph& graph,
+    const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options = {});
 
 /// RDPQ_mem-definability with unbounded registers: by Lemma 23 this equals

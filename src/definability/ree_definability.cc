@@ -119,31 +119,73 @@ struct SmallRelationOps {
   std::size_t ElementBytes(Rel /*rel*/) const { return sizeof(Rel); }
 };
 
+}  // namespace
+
 /// How a monoid element was derived. The closure attempts |M|·|gens|
 /// compositions but inserts only |M| of them, so REE ASTs are *not* built
 /// eagerly per attempt — each element records this five-word recipe and the
 /// few elements the greedy cover actually uses are materialized at the end.
-struct Derivation {
+struct ReeDerivation {
   enum class Kind : std::uint8_t { kEpsilon, kLetter, kConcat, kEq, kNeq };
   Kind kind = Kind::kEpsilon;
   std::uint32_t a = 0;  ///< left/only operand element index
   std::uint32_t b = 0;  ///< kConcat: right operand index; kLetter: label id
 };
 
-/// The level algorithm (Definition 27 / Lemmas 28-31), generic over the
+/// Everything a closed level monoid holds. Exactly one element vector is
+/// used, the one of `representation`.
+struct ReeMonoidState {
+  ReeRepresentation representation = ReeRepresentation::kDense;
+  std::optional<SmallRelationSpace> space;  ///< kPacked: packs S to decide
+  std::vector<SmallRelation> packed;
+  std::vector<BinaryRelation> dense;  ///< kDense and kDiagonal
+  std::vector<BlockedBinaryRelation> blocked;
+  std::vector<ReeDerivation> derivations;
+  std::size_t levels_used = 0;
+  /// close() rounds started — each one hit the ree.closure failpoint.
+  std::size_t closures = 0;
+  /// Bytes charged to options.budget (one ChargeTuples per element).
+  std::uint64_t charged_bytes = 0;
+  /// Stopped by options.budget or a monoid cap: decisions report this.
+  bool tripped = false;
+  std::optional<PartialProgress> partial;
+  /// Ran to its fixpoint under the default caps (reusable).
+  bool complete = false;
+};
+
+namespace {
+
+template <typename Rel>
+std::vector<Rel>& ElementsOf(ReeMonoidState* state);
+template <>
+std::vector<SmallRelation>& ElementsOf<SmallRelation>(ReeMonoidState* state) {
+  return state->packed;
+}
+template <>
+std::vector<BinaryRelation>& ElementsOf<BinaryRelation>(
+    ReeMonoidState* state) {
+  return state->dense;
+}
+template <>
+std::vector<BlockedBinaryRelation>& ElementsOf<BlockedBinaryRelation>(
+    ReeMonoidState* state) {
+  return state->blocked;
+}
+
+/// The level closure (Definition 27 / Lemmas 28-29), generic over the
 /// relation representation. See the header for the algebraic argument
 /// (distribution of ∘ and =/≠ over +) that reduces levels to a ∘-monoid
-/// with generator-only closure.
+/// with generator-only closure. Fills `state`; a budget or monoid-cap trip
+/// leaves it `tripped` with a partial-progress report, while cancellation
+/// and the injected ree.closure fault return an error.
 template <typename Ops>
-Result<ReeDefinabilityResult> RunLevelAlgorithm(
-    const Ops& ops, const typename Ops::Rel& target, bool target_empty,
-    std::size_t num_nodes, std::size_t num_labels,
-    const std::vector<std::string>& label_names,
-    const ReeDefinabilityOptions& options) {
+Status CloseLevels(const Ops& ops, std::size_t num_nodes,
+                   std::size_t num_labels,
+                   const ReeDefinabilityOptions& options,
+                   ReeMonoidState* state) {
   using Rel = typename Ops::Rel;
   std::size_t max_levels =
       options.max_levels > 0 ? options.max_levels : num_nodes * num_nodes;
-  ReeDefinabilityResult result;
   GQD_TRACE_SPAN(algorithm_span, "ree.level_algorithm");
   GQD_TRACE_SPAN_ATTR(algorithm_span, "nodes", num_nodes);
   GQD_TRACE_SPAN_ATTR(algorithm_span, "labels", num_labels);
@@ -151,8 +193,8 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
   // The monoid: distinct relations, each with one derivation recipe. The
   // interner is open-addressed over stored hashes — probes compare against
   // elements[slot] directly, so a relation is never copied into a map key.
-  std::vector<Rel> elements;
-  std::vector<Derivation> derivations;
+  std::vector<Rel>& elements = ElementsOf<Rel>(state);
+  std::vector<ReeDerivation>& derivations = state->derivations;
   std::vector<std::size_t> hashes;
   std::vector<std::size_t> slots(64, 0);  // index+1, 0 = empty; pow-2 size
   // Generator bookkeeping: right-multiplication by generators alone
@@ -171,9 +213,9 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
                                      options.max_monoid_size);
   // Interner bookkeeping per element (hash, slot, derivation, flags).
   const std::size_t bookkeeping_bytes =
-      3 * sizeof(std::size_t) + sizeof(Derivation);
+      3 * sizeof(std::size_t) + sizeof(ReeDerivation);
 
-  auto add_element = [&](Rel rel, Derivation derivation) -> std::size_t {
+  auto add_element = [&](Rel rel, ReeDerivation derivation) -> std::size_t {
     std::size_t hash = typename Ops::Hash{}(rel);
     std::size_t mask = slots.size() - 1;
     std::size_t pos = hash & mask;
@@ -195,6 +237,7 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
         ops.ElementBytes(elements.back()) + bookkeeping_bytes;
     monoid_budget.ChargeBytes(static_cast<std::int64_t>(element_bytes));
     monoid_budget.ChargeTuples(1);
+    state->charged_bytes += element_bytes;
     if (options.budget != nullptr) {
       options.budget->ChargeBytes(static_cast<std::int64_t>(element_bytes));
       options.budget->ChargeTuples(1);
@@ -213,7 +256,7 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
     }
     return index;
   };
-  auto add_generator = [&](Rel rel, Derivation derivation) {
+  auto add_generator = [&](Rel rel, ReeDerivation derivation) {
     std::size_t i = add_element(std::move(rel), derivation);
     if (!is_gen[i]) {
       is_gen[i] = true;
@@ -221,10 +264,10 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
     }
   };
 
-  add_generator(ops.Identity(), Derivation{Derivation::Kind::kEpsilon, 0, 0});
+  add_generator(ops.Identity(), ReeDerivation{ReeDerivation::Kind::kEpsilon, 0, 0});
   for (LabelId a = 0; a < num_labels; a++) {
     add_generator(ops.FromLabel(a),
-                  Derivation{Derivation::Kind::kLetter, 0, a});
+                  ReeDerivation{ReeDerivation::Kind::kLetter, 0, a});
   }
 
   std::uint32_t ticks = 0;
@@ -236,6 +279,7 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
   auto close = [&]() -> bool {
     GQD_TRACE_SPAN(round_span, "ree.closure_round");
     GQD_TRACE_SPAN_ATTR(round_span, "elements_before", elements.size());
+    state->closures++;
     if (GQD_FAILPOINT_FIRED(fp_ree_closure)) {
       injected = true;
       return false;
@@ -256,7 +300,7 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
           std::size_t g = gens[applied[i]++];
           std::size_t before = elements.size();
           add_element(ops.Compose(elements[i], elements[g]),
-                      Derivation{Derivation::Kind::kConcat,
+                      ReeDerivation{ReeDerivation::Kind::kConcat,
                                  static_cast<std::uint32_t>(i),
                                  static_cast<std::uint32_t>(g)});
           if (elements.size() > before) {
@@ -275,7 +319,7 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
   // Maps a failed close() to the corresponding outcome: cancellation,
   // injected fault, ResourceBudget trip, or the monoid byte/count cap —
   // both budget paths report partial progress.
-  auto closure_failure = [&]() -> Result<ReeDefinabilityResult> {
+  auto closure_failure = [&]() -> Status {
     if (expired) {
       return options.cancel->Check();
     }
@@ -283,19 +327,18 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
       return Status::ResourceExhausted(
           "injected monoid closure failure (failpoint ree.closure)");
     }
-    result.verdict = DefinabilityVerdict::kBudgetExhausted;
-    result.monoid_size = elements.size();
+    state->tripped = true;
     if (budget_tripped || (options.budget != nullptr &&
                            options.budget->Exhausted())) {
-      result.partial =
-          PartialProgress{elements.size(), result.levels_used,
+      state->partial =
+          PartialProgress{elements.size(), state->levels_used,
                           options.budget->bytes_peak(), "ree-closure"};
     } else if (monoid_tripped || monoid_budget.Exhausted()) {
-      result.partial =
-          PartialProgress{elements.size(), result.levels_used,
+      state->partial =
+          PartialProgress{elements.size(), state->levels_used,
                           monoid_budget.bytes_peak(), "ree-monoid"};
     }
-    return result;
+    return Status::OK();
   };
 
   if (!close()) {
@@ -310,10 +353,10 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
         return options.cancel->Check();
       }
       add_generator(ops.Eq(elements[i]),
-                    Derivation{Derivation::Kind::kEq,
+                    ReeDerivation{ReeDerivation::Kind::kEq,
                                static_cast<std::uint32_t>(i), 0});
       add_generator(ops.Neq(elements[i]),
-                    Derivation{Derivation::Kind::kNeq,
+                    ReeDerivation{ReeDerivation::Kind::kNeq,
                                static_cast<std::uint32_t>(i), 0});
       if (GQD_BUDGET_STRIDE_CHECK(options.budget, budget_ticks)) {
         budget_tripped = true;
@@ -327,16 +370,41 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
     if (elements.size() == before) {
       break;
     }
-    result.levels_used = level + 1;
+    state->levels_used = level + 1;
     if (!close()) {
       return closure_failure();
     }
   }
-  result.monoid_size = elements.size();
+  const ReeDefinabilityOptions defaults;
+  state->complete = options.max_levels == defaults.max_levels &&
+                    options.max_monoid_size == defaults.max_monoid_size &&
+                    options.max_monoid_bytes == defaults.max_monoid_bytes;
   GQD_TRACE_SPAN_ATTR(algorithm_span, "monoid_size", elements.size());
-  GQD_TRACE_SPAN_ATTR(algorithm_span, "levels_used", result.levels_used);
+  GQD_TRACE_SPAN_ATTR(algorithm_span, "levels_used", state->levels_used);
+  return Status::OK();
+}
 
-  // Decision (Lemma 30) + greedy synthesis.
+/// The decision of Lemma 30 plus greedy synthesis: S is definable iff it
+/// equals the union of the monoid elements it contains. Reads the monoid
+/// only, so any number of relations can be decided against one closure.
+template <typename Ops>
+ReeDefinabilityResult DecideCover(const Ops& ops,
+                                  const std::vector<typename Ops::Rel>& elements,
+                                  const ReeMonoidState& state,
+                                  const typename Ops::Rel& target,
+                                  bool target_empty,
+                                  const std::vector<std::string>& label_names) {
+  using Rel = typename Ops::Rel;
+  ReeDefinabilityResult result;
+  result.levels_used = state.levels_used;
+  result.monoid_size = elements.size();
+  if (state.tripped) {
+    result.verdict = DefinabilityVerdict::kBudgetExhausted;
+    result.partial = state.partial;
+    return result;
+  }
+  const std::vector<ReeDerivation>& derivations = state.derivations;
+
   GQD_TRACE_SPAN(synthesis_span, "ree.synthesize");
   Rel covered = ops.Empty();
   std::vector<std::size_t> cover;
@@ -378,15 +446,15 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
         stack.pop_back();
         continue;
       }
-      const Derivation& d = derivations[i];
+      const ReeDerivation& d = derivations[i];
       switch (d.kind) {
-        case Derivation::Kind::kEpsilon:
+        case ReeDerivation::Kind::kEpsilon:
           memo[i] = ree::Epsilon();
           break;
-        case Derivation::Kind::kLetter:
+        case ReeDerivation::Kind::kLetter:
           memo[i] = ree::Letter(label_names[d.b]);
           break;
-        case Derivation::Kind::kConcat:
+        case ReeDerivation::Kind::kConcat:
           if (memo[d.a] == nullptr) {
             stack.push_back(d.a);
           } else if (memo[d.b] == nullptr) {
@@ -395,14 +463,14 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
             memo[i] = ree::Concat({memo[d.a], memo[d.b]});
           }
           break;
-        case Derivation::Kind::kEq:
+        case ReeDerivation::Kind::kEq:
           if (memo[d.a] == nullptr) {
             stack.push_back(d.a);
           } else {
             memo[i] = ree::Eq(memo[d.a]);
           }
           break;
-        case Derivation::Kind::kNeq:
+        case ReeDerivation::Kind::kNeq:
           if (memo[d.a] == nullptr) {
             stack.push_back(d.a);
           } else {
@@ -420,62 +488,211 @@ Result<ReeDefinabilityResult> RunLevelAlgorithm(
   return result;
 }
 
+/// True iff ρ is injective (every value class is a single node) — the
+/// planned engine's diagonal case; same answer as
+/// ValueClassMasks::AllSingletons without building the masks.
+bool InjectiveValues(const DataGraph& graph) {
+  std::vector<bool> seen(graph.NumDataValues(), false);
+  for (NodeId v = 0; v < graph.NumNodes(); v++) {
+    std::uint32_t value = graph.DataValueOf(v);
+    if (seen[value]) {
+      return false;
+    }
+    seen[value] = true;
+  }
+  return true;
+}
+
+ReeRepresentation RepresentationFor(const DataGraph& graph,
+                                    bool dense_relation, ReeEngine engine) {
+  if (!dense_relation) {
+    return ReeRepresentation::kBlocked;
+  }
+  if (engine == ReeEngine::kReference) {
+    return ReeRepresentation::kDense;
+  }
+  if (graph.NumNodes() <= 8 && graph.NumNodes() > 0) {
+    return ReeRepresentation::kPacked;
+  }
+  if (engine == ReeEngine::kPlanned && InjectiveValues(graph)) {
+    return ReeRepresentation::kDiagonal;
+  }
+  return ReeRepresentation::kDense;
+}
+
+/// Decides a dense S against a packed, dense or diagonal monoid.
+ReeDefinabilityResult DecideDense(const ReeMonoidState& state,
+                                  const DataGraph& graph,
+                                  const BinaryRelation& relation) {
+  const std::vector<std::string>& label_names = graph.labels().names();
+  if (state.representation == ReeRepresentation::kPacked) {
+    SmallRelationOps ops{&*state.space};
+    return DecideCover(ops, state.packed, state, state.space->Pack(relation),
+                       relation.Empty(), label_names);
+  }
+  BigRelationOps ops{&graph, nullptr};
+  return DecideCover(ops, state.dense, state, relation, relation.Empty(),
+                     label_names);
+}
+
+Status CheckNodeCount(const DataGraph& graph, std::size_t relation_nodes) {
+  if (relation_nodes != graph.NumNodes()) {
+    return Status::InvalidArgument(
+        "relation is over a different node count than the graph");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+ReeMonoid::ReeMonoid(std::unique_ptr<ReeMonoidState> state)
+    : state_(std::move(state)) {}
+ReeMonoid::ReeMonoid(ReeMonoid&&) noexcept = default;
+ReeMonoid& ReeMonoid::operator=(ReeMonoid&&) noexcept = default;
+ReeMonoid::~ReeMonoid() = default;
+
+ReeRepresentation ReeMonoid::representation() const {
+  return state_->representation;
+}
+
+std::size_t ReeMonoid::size() const { return state_->derivations.size(); }
+
+bool ReeMonoid::complete() const { return state_->complete; }
+
+std::uint64_t ReeMonoid::charged_bytes() const {
+  return state_->charged_bytes;
+}
+
+bool ReeMonoid::ReusableFor(const ReeDefinabilityOptions& options) const {
+  const ReeDefinabilityOptions defaults;
+  if (!state_->complete || options.max_levels != defaults.max_levels ||
+      options.max_monoid_size != defaults.max_monoid_size ||
+      options.max_monoid_bytes != defaults.max_monoid_bytes) {
+    return false;
+  }
+  const ResourceBudget* budget = options.budget;
+  return budget == nullptr ||
+         ((budget->max_bytes() == 0 ||
+           budget->bytes_used() + state_->charged_bytes <=
+               budget->max_bytes()) &&
+          (budget->max_tuples() == 0 ||
+           budget->tuples_used() + size() <= budget->max_tuples()));
+}
+
+Status ReeMonoid::ChargeReuse(const ResourceBudget* budget) const {
+  for (std::size_t round = 0; round < state_->closures; round++) {
+    if (GQD_FAILPOINT_FIRED(fp_ree_closure)) {
+      return Status::ResourceExhausted(
+          "injected monoid closure failure (failpoint ree.closure)");
+    }
+  }
+  if (budget != nullptr) {
+    budget->ChargeBytes(static_cast<std::int64_t>(state_->charged_bytes));
+    budget->ChargeTuples(size());
+  }
+  return Status::OK();
+}
+
+std::size_t ReeMonoid::HeldBytes() const { return state_->charged_bytes; }
+
+ReeRepresentation ReeRepresentationFor(const DataGraph& graph,
+                                       const AdaptiveRelation& relation,
+                                       const ReeDefinabilityOptions& options) {
+  return RepresentationFor(graph,
+                           relation.backend() == RelationBackend::kDense,
+                           options.engine);
+}
+
+Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
+                                 ReeRepresentation representation,
+                                 const ReeDefinabilityOptions& options) {
+  auto state = std::make_unique<ReeMonoidState>();
+  state->representation = representation;
+  const std::size_t n = graph.NumNodes();
+  const std::size_t num_labels = graph.NumLabels();
+  Status closed;
+  switch (representation) {
+    case ReeRepresentation::kPacked: {
+      state->space.emplace(graph);
+      SmallRelationOps ops{&*state->space};
+      closed = CloseLevels(ops, n, num_labels, options, state.get());
+      break;
+    }
+    case ReeRepresentation::kDiagonal: {
+      // Planned diagonal kernel: ρ is injective, so the =/≠ restrictions
+      // never need the class masks. Flush executions into the plan metrics
+      // once, alongside the k-REM checker's kernel-class hits.
+      std::uint64_t diagonal_hits = 0;
+      BigRelationOps ops{&graph, nullptr, /*diagonal=*/true, &diagonal_hits};
+      closed = CloseLevels(ops, n, num_labels, options, state.get());
+      if (diagonal_hits != 0) {
+        std::uint64_t hits[kNumKernelClasses] = {};
+        hits[static_cast<std::size_t>(TransitionKernelClass::kDiagonal)] =
+            diagonal_hits;
+        RecordPlanKernelHits(hits);
+      }
+      break;
+    }
+    case ReeRepresentation::kDense: {
+      if (options.engine == ReeEngine::kReference) {
+        BigRelationOps ops{&graph, nullptr};
+        closed = CloseLevels(ops, n, num_labels, options, state.get());
+      } else {
+        ValueClassMasks masks(graph);
+        BigRelationOps ops{&graph, &masks};
+        closed = CloseLevels(ops, n, num_labels, options, state.get());
+      }
+      break;
+    }
+    case ReeRepresentation::kBlocked: {
+      ValueClassMasks masks(graph);
+      BlockedRelationOps ops{&graph, &masks};
+      closed = CloseLevels(ops, n, num_labels, options, state.get());
+      break;
+    }
+  }
+  GQD_RETURN_NOT_OK(closed);
+  return ReeMonoid(std::move(state));
+}
 
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const ReeDefinabilityOptions& options) {
-  if (relation.num_nodes() != graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "relation is over a different node count than the graph");
-  }
-  const std::vector<std::string>& label_names = graph.labels().names();
-  if (options.engine == ReeEngine::kReference) {
-    BigRelationOps ops{&graph, nullptr};
-    return RunLevelAlgorithm(ops, relation, relation.Empty(),
-                             graph.NumNodes(), graph.NumLabels(), label_names,
-                             options);
-  }
-  if (graph.NumNodes() <= 8 && graph.NumNodes() > 0) {
-    SmallRelationSpace space(graph);
-    SmallRelationOps ops{&space};
-    return RunLevelAlgorithm(ops, space.Pack(relation), relation.Empty(),
-                             graph.NumNodes(), graph.NumLabels(), label_names,
-                             options);
-  }
-  ValueClassMasks masks(graph);
-  if (options.engine == ReeEngine::kPlanned && masks.AllSingletons()) {
-    // Planned diagonal kernel: ρ is injective, so the =/≠ restrictions
-    // never need the class masks. Flush executions into the plan metrics
-    // once, alongside the k-REM checker's kernel-class hits.
-    std::uint64_t diagonal_hits = 0;
-    BigRelationOps ops{&graph, &masks, /*diagonal=*/true, &diagonal_hits};
-    Result<ReeDefinabilityResult> result = RunLevelAlgorithm(
-        ops, relation, relation.Empty(), graph.NumNodes(), graph.NumLabels(),
-        label_names, options);
-    if (diagonal_hits != 0) {
-      std::uint64_t hits[kNumKernelClasses] = {};
-      hits[static_cast<std::size_t>(TransitionKernelClass::kDiagonal)] =
-          diagonal_hits;
-      RecordPlanKernelHits(hits);
-    }
-    return result;
-  }
-  BigRelationOps ops{&graph, &masks};
-  return RunLevelAlgorithm(ops, relation, relation.Empty(),
-                           graph.NumNodes(), graph.NumLabels(), label_names,
-                           options);
+  GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
+  GQD_ASSIGN_OR_RETURN(
+      ReeMonoid monoid,
+      CloseReeMonoid(graph,
+                     RepresentationFor(graph, /*dense_relation=*/true,
+                                       options.engine),
+                     options));
+  return DecideDense(monoid.state(), graph, relation);
 }
 
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const ReeDefinabilityOptions& options) {
-  if (relation.num_nodes() != graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "relation is over a different node count than the graph");
-  }
+  GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
   if (relation.backend() == RelationBackend::kDense) {
     return CheckReeDefinability(graph, relation.dense(), options);
+  }
+  GQD_ASSIGN_OR_RETURN(
+      ReeMonoid monoid,
+      CloseReeMonoid(graph, ReeRepresentation::kBlocked, options));
+  return CheckReeDefinability(monoid, graph, relation, options);
+}
+
+Result<ReeDefinabilityResult> CheckReeDefinability(
+    const ReeMonoid& monoid, const DataGraph& graph,
+    const AdaptiveRelation& relation, const ReeDefinabilityOptions& options) {
+  GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
+  if (monoid.representation() !=
+      ReeRepresentationFor(graph, relation, options)) {
+    return Status::InvalidArgument(
+        "the REE monoid was closed in another relation representation");
+  }
+  const ReeMonoidState& state = monoid.state();
+  if (state.representation != ReeRepresentation::kBlocked) {
+    return DecideDense(state, graph, relation.dense());
   }
   BlockedBinaryRelation converted;
   const BlockedBinaryRelation* target = &converted;
@@ -485,11 +702,9 @@ Result<ReeDefinabilityResult> CheckReeDefinability(
     converted = BlockedBinaryRelation::FromPairs(graph.NumNodes(),
                                                  relation.Pairs());
   }
-  ValueClassMasks masks(graph);
-  BlockedRelationOps ops{&graph, &masks};
-  return RunLevelAlgorithm(ops, *target, relation.Empty(),
-                           graph.NumNodes(), graph.NumLabels(),
-                           graph.labels().names(), options);
+  BlockedRelationOps ops{&graph, nullptr};
+  return DecideCover(ops, state.blocked, state, *target, relation.Empty(),
+                     graph.labels().names());
 }
 
 }  // namespace gqd

@@ -15,10 +15,18 @@
 // Every monoid element carries its REE derivation, so a defining REE is
 // synthesized directly from a greedy cover of S (and round-trip-verified by
 // tests through EvaluateRee).
+//
+// By Lemma 30, S enters only that final cover test: the level monoid M_∞
+// depends on the graph alone. The checker is therefore split into
+// CloseReeMonoid (per graph and relation representation) and a per-S
+// decision, and `gqd serve` keeps closed monoids on the graph's registry
+// entry so repeated checks over one graph skip the closure.
 
 #ifndef GQD_DEFINABILITY_REE_DEFINABILITY_H_
 #define GQD_DEFINABILITY_REE_DEFINABILITY_H_
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -92,7 +100,82 @@ struct ReeDefinabilityResult {
   std::optional<PartialProgress> partial;
 };
 
-/// Decides whether `relation` is definable by an RDPQ_= on `graph`.
+/// The relation representation a level closure runs on. M_∞ is the same
+/// set in every representation; element layouts differ, so a closed
+/// monoid decides only relations checked in its own representation.
+enum class ReeRepresentation : std::uint8_t {
+  /// One 64-bit word per relation: n ≤ 8 and a dense S.
+  kPacked,
+  /// n row bitsets; =/≠ through value-class masks (per-bit loops under
+  /// ReeEngine::kReference).
+  kDense,
+  /// n row bitsets with ρ injective, so =/≠ are the diagonal forms (the
+  /// planned engine's specialization).
+  kDiagonal,
+  /// Array/bitmap containers: S held by a sparse or blocked backend.
+  kBlocked,
+};
+
+/// The representation CheckReeDefinability closes the monoid in for this
+/// graph, relation backend and engine.
+ReeRepresentation ReeRepresentationFor(const DataGraph& graph,
+                                       const AdaptiveRelation& relation,
+                                       const ReeDefinabilityOptions& options);
+
+struct ReeMonoidState;
+
+/// A closed level monoid M_∞ (Definition 27) of one graph in one
+/// representation: its elements, their REE derivations, the levels the
+/// closure used and the exact bytes and elements it charged. Immutable;
+/// safe to share across threads.
+class ReeMonoid {
+ public:
+  explicit ReeMonoid(std::unique_ptr<ReeMonoidState> state);
+  ReeMonoid(ReeMonoid&&) noexcept;
+  ReeMonoid& operator=(ReeMonoid&&) noexcept;
+  ~ReeMonoid();
+
+  ReeRepresentation representation() const;
+  /// Elements (each charged one tuple to options.budget).
+  std::size_t size() const;
+  /// True when the closure reached its fixpoint under the default caps. A
+  /// closure stopped by a budget or cap is not complete; deciding against
+  /// it reports that stop (verdict kBudgetExhausted, partial progress).
+  bool complete() const;
+  /// Bytes the closure charged to options.budget.
+  std::uint64_t charged_bytes() const;
+
+  /// Could a fresh closure for a check with `options` differ from this
+  /// one? False unless this monoid is complete, `options` keeps the
+  /// default max_levels / max_monoid_size / max_monoid_bytes, and
+  /// options.budget has room for the recorded bytes and elements (a
+  /// tighter budget could stop a fresh closure part way). A reusable
+  /// monoid plus ChargeReuse reproduces the cold check exactly.
+  bool ReusableFor(const ReeDefinabilityOptions& options) const;
+
+  /// Replays the closure's ree.closure failpoint hits (one per closure
+  /// round) and its budget charges for a check that reuses this monoid.
+  Status ChargeReuse(const ResourceBudget* budget) const;
+
+  /// Resident bytes, as accounted by the closure.
+  std::size_t HeldBytes() const;
+
+  /// Implementation state (opaque outside ree_definability.cc).
+  const ReeMonoidState& state() const { return *state_; }
+
+ private:
+  std::unique_ptr<ReeMonoidState> state_;
+};
+
+/// Runs the level closure of `graph` in `representation`, charging
+/// options.budget as the check would. A budget or cap trip still returns a
+/// (not complete) monoid; cancellation and injected faults are errors.
+Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
+                                 ReeRepresentation representation,
+                                 const ReeDefinabilityOptions& options = {});
+
+/// Decides whether `relation` is definable by an RDPQ_= on `graph`: closes
+/// the monoid (CloseReeMonoid) and runs the cover test on it.
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const ReeDefinabilityOptions& options = {});
@@ -106,6 +189,16 @@ Result<ReeDefinabilityResult> CheckReeDefinability(
 /// option only matters on the dense path).
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
+    const ReeDefinabilityOptions& options = {});
+
+/// The decision alone (Lemma 30's cover test plus synthesis) against a
+/// prebuilt `monoid` of `graph`; InvalidArgument unless its representation
+/// is ReeRepresentationFor(graph, relation, options). Charges nothing: a
+/// caller reusing a monoid closed for another check calls
+/// monoid.ChargeReuse first.
+Result<ReeDefinabilityResult> CheckReeDefinability(
+    const ReeMonoid& monoid, const DataGraph& graph,
+    const AdaptiveRelation& relation,
     const ReeDefinabilityOptions& options = {});
 
 }  // namespace gqd

@@ -65,11 +65,11 @@ std::optional<std::vector<LabelId>> FindKillingWord(
 }
 
 /// Shared body, generic over the relation representation (Empty plus
-/// whatever CheckKRemDefinability needs).
-template <typename Rel>
+/// whatever `check_krem` needs); `check_krem` runs the k = 0 search.
+template <typename Rel, typename CheckKRem>
 Result<RpqDefinabilityResult> CheckRpqImpl(
     const DataGraph& graph, const Rel& relation,
-    const KRemDefinabilityOptions& options) {
+    const KRemDefinabilityOptions& options, const CheckKRem& check_krem) {
   RpqDefinabilityResult result;
   if (relation.Empty()) {
     auto word = FindKillingWord(graph, options.max_tuples);
@@ -83,9 +83,7 @@ Result<RpqDefinabilityResult> CheckRpqImpl(
     }
     return result;
   }
-  GQD_ASSIGN_OR_RETURN(
-      KRemDefinabilityResult krem,
-      CheckKRemDefinability(graph, relation, /*k=*/0, options));
+  GQD_ASSIGN_OR_RETURN(KRemDefinabilityResult krem, check_krem());
   result.verdict = krem.verdict;
   result.tuples_explored = krem.tuples_explored;
   result.partial = std::move(krem.partial);
@@ -108,13 +106,29 @@ Result<RpqDefinabilityResult> CheckRpqImpl(
 Result<RpqDefinabilityResult> CheckRpqDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const KRemDefinabilityOptions& options) {
-  return CheckRpqImpl(graph, relation, options);
+  return CheckRpqImpl(graph, relation, options, [&] {
+    return CheckKRemDefinability(graph, relation, /*k=*/0, options);
+  });
 }
 
 Result<RpqDefinabilityResult> CheckRpqDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options) {
-  return CheckRpqImpl(graph, relation, options);
+  return CheckRpqImpl(graph, relation, options, [&] {
+    return CheckKRemDefinability(graph, relation, /*k=*/0, options);
+  });
+}
+
+Result<RpqDefinabilityResult> CheckRpqDefinability(
+    const KRemSetup& setup, const DataGraph& graph,
+    const AdaptiveRelation& relation,
+    const KRemDefinabilityOptions& options) {
+  if (setup.k() != 0) {
+    return Status::InvalidArgument("RPQ checks need a k = 0 setup");
+  }
+  return CheckRpqImpl(graph, relation, options, [&] {
+    return CheckKRemDefinability(setup, graph, relation, options);
+  });
 }
 
 RegexPtr RegexFromWitnesses(const RpqDefinabilityResult& result,

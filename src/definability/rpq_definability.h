@@ -56,6 +56,14 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options = {});
 
+/// The same decision on a prebuilt k = 0 setup (see KRemSetup): the
+/// killing-word walk for S = ∅, else the k = 0 search on `setup`. Charges
+/// options.budget only for the search, like the k-REM overload.
+Result<RpqDefinabilityResult> CheckRpqDefinability(
+    const KRemSetup& setup, const DataGraph& graph,
+    const AdaptiveRelation& relation,
+    const KRemDefinabilityOptions& options = {});
+
 /// Builds a defining regex from a kDefinable result: the union of witness
 /// words (ε for the empty word), or the killing word for S = ∅.
 RegexPtr RegexFromWitnesses(const RpqDefinabilityResult& result,

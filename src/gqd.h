@@ -14,6 +14,7 @@
 #include "common/cancel.h"     // IWYU pragma: export
 #include "common/failpoint.h"  // IWYU pragma: export
 #include "common/interner.h"   // IWYU pragma: export
+#include "common/json.h"       // IWYU pragma: export
 #include "common/json_util.h"  // IWYU pragma: export
 #include "common/status.h"     // IWYU pragma: export
 
@@ -107,7 +108,6 @@
 #include "runtime/admission.h"       // IWYU pragma: export
 #include "runtime/client.h"          // IWYU pragma: export
 #include "runtime/graph_registry.h"  // IWYU pragma: export
-#include "runtime/json.h"            // IWYU pragma: export
 #include "runtime/line_handler.h"    // IWYU pragma: export
 #include "runtime/result_cache.h"    // IWYU pragma: export
 #include "runtime/server.h"          // IWYU pragma: export

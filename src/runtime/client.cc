@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "common/failpoint.h"
-#include "runtime/json.h"
+#include "common/json.h"
 
 namespace gqd {
 

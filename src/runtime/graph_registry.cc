@@ -1,5 +1,6 @@
 #include "runtime/graph_registry.h"
 
+#include <set>
 #include <utility>
 
 #include "graph/serialization.h"
@@ -45,6 +46,7 @@ RegisteredGraph GraphRegistry::Register(const std::string& name,
     }
   }
   entry.graph = std::move(stored.graph);
+  entry.setups = std::make_shared<CheckSetups>();
   graphs_[name] = entry;
   return entry;
 }
@@ -72,6 +74,18 @@ std::vector<std::string> GraphRegistry::Names() const {
 std::size_t GraphRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return graphs_.size();
+}
+
+std::size_t GraphRegistry::CheckSetupBytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::set<const CheckSetups*> counted;
+  std::size_t bytes = 0;
+  for (const auto& [name, entry] : graphs_) {
+    if (counted.insert(entry.setups.get()).second) {
+      bytes += entry.setups->held_bytes();
+    }
+  }
+  return bytes;
 }
 
 std::string GraphRegistry::Fingerprint(const DataGraph& graph) {

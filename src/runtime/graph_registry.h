@@ -26,16 +26,19 @@
 
 #include "common/status.h"
 #include "graph/data_graph.h"
+#include "runtime/check_setups.h"
 #include "storage/graph_store.h"
 
 namespace gqd {
 
-/// One registered graph: the shared loaded form, its fingerprint, and how
-/// the store is holding it (backend, sizes, load time).
+/// One registered graph: the shared loaded form, its fingerprint, how the
+/// store is holding it (backend, sizes, load time), and the checker setups
+/// built for it so far (shared exactly as widely as the graph itself).
 struct RegisteredGraph {
   std::shared_ptr<const DataGraph> graph;
   std::string fingerprint;  ///< 16 lowercase hex digits
   GraphStoreInfo info;
+  std::shared_ptr<CheckSetups> setups;
 };
 
 class GraphRegistry {
@@ -68,6 +71,10 @@ class GraphRegistry {
   std::vector<std::string> Names() const;
 
   std::size_t size() const;
+
+  /// Bytes of checker setups held for the registered graphs (each shared
+  /// holder counted once): the gqd_check_setup_bytes gauge.
+  std::size_t CheckSetupBytes() const;
 
   /// Content fingerprint of a graph: FNV-1a 64 over WriteGraphText.
   static std::string Fingerprint(const DataGraph& graph);

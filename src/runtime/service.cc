@@ -102,6 +102,39 @@ Status BudgetFrom(const JsonValue& request,
   return Status::OK();
 }
 
+bool Shareable(const KRemSetup& setup) { return setup.shareable(); }
+bool Shareable(const ReeMonoid& monoid) { return monoid.complete(); }
+
+/// The checker setup a served check runs on: the held one when it
+/// reproduces what a fresh build under `options` would do (hit — its build
+/// charges and failpoint are replayed against the request), else a fresh
+/// build kept for later checks when nothing request-specific shaped it
+/// (miss). nullptr means the held setup could differ from a fresh build
+/// under this request's budget or caps (bypass): run the cold checker.
+template <typename Key, typename Setup, typename Options, typename Build>
+Result<std::shared_ptr<const Setup>> AcquireSetup(
+    SetupSlots<Key, Setup>* slots, const Key& key, const Options& options,
+    CheckSetupKind kind, ServerStats* stats, const Build& build) {
+  std::shared_ptr<const Setup> held = slots->Find(key);
+  if (held != nullptr) {
+    if (!held->ReusableFor(options)) {
+      stats->RecordCheckSetup(kind, CheckSetupUse::kBypass);
+      return std::shared_ptr<const Setup>();
+    }
+    stats->RecordCheckSetup(kind, CheckSetupUse::kHit);
+    GQD_TRACE_SPAN(span, "serve.check_setup_reuse");
+    GQD_RETURN_NOT_OK(held->ChargeReuse(options.budget));
+    return held;
+  }
+  stats->RecordCheckSetup(kind, CheckSetupUse::kMiss);
+  GQD_ASSIGN_OR_RETURN(Setup built, build());
+  auto fresh = std::make_shared<const Setup>(std::move(built));
+  if (Shareable(*fresh)) {
+    slots->Add(key, fresh);
+  }
+  return fresh;
+}
+
 /// Serializes a checker's PartialProgress into response JSON, so budget
 /// exhaustion reports how far the search got.
 void EmplacePartial(JsonValue::Object* body,
@@ -634,14 +667,31 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   body.emplace_back("relation_backend",
                     std::string(RelationBackendName(relation.backend())));
   body.emplace_back("relation_nnz", static_cast<double>(relation.Nnz()));
+  const DataGraph& graph = *entry.graph;
+  // The k-assignment graph and dispatch table for (graph, k): the graph's
+  // held setup when it fits this request, else none (cold check). An
+  // empty S is decided without one.
+  auto krem_setup = [&](std::size_t k, const KRemDefinabilityOptions& options)
+      -> Result<std::shared_ptr<const KRemSetup>> {
+    if (relation.Empty()) {
+      return std::shared_ptr<const KRemSetup>();
+    }
+    return AcquireSetup(&entry.setups->krem, k, options,
+                        CheckSetupKind::kKRem, &stats_,
+                        [&] { return BuildKRemSetup(graph, k, options); });
+  };
   if (checker == "rpq") {
     KRemDefinabilityOptions options;
     options.cancel = cancel;
     options.budget = budget;
     options.num_threads = static_cast<std::size_t>(threads);
-    GQD_ASSIGN_OR_RETURN(RpqDefinabilityResult result,
-                         CheckRpqDefinability(*entry.graph, relation,
-                                              options));
+    GQD_ASSIGN_OR_RETURN(std::shared_ptr<const KRemSetup> setup,
+                         krem_setup(0, options));
+    GQD_ASSIGN_OR_RETURN(
+        RpqDefinabilityResult result,
+        setup != nullptr
+            ? CheckRpqDefinability(*setup, graph, relation, options)
+            : CheckRpqDefinability(graph, relation, options));
     body.emplace_back("verdict",
                       std::string(DefinabilityVerdictToString(
                           result.verdict)));
@@ -657,10 +707,14 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     options.cancel = cancel;
     options.budget = budget;
     options.num_threads = static_cast<std::size_t>(threads);
+    GQD_ASSIGN_OR_RETURN(std::shared_ptr<const KRemSetup> setup,
+                         krem_setup(static_cast<std::size_t>(k), options));
     GQD_ASSIGN_OR_RETURN(
         KRemDefinabilityResult result,
-        CheckKRemDefinability(*entry.graph, relation,
-                              static_cast<std::size_t>(k), options));
+        setup != nullptr
+            ? CheckKRemDefinability(*setup, graph, relation, options)
+            : CheckKRemDefinability(graph, relation,
+                                    static_cast<std::size_t>(k), options));
     body.emplace_back("verdict",
                       std::string(DefinabilityVerdictToString(
                           result.verdict)));
@@ -672,9 +726,21 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     ReeDefinabilityOptions options;
     options.cancel = cancel;
     options.budget = budget;
-    GQD_ASSIGN_OR_RETURN(ReeDefinabilityResult result,
-                         CheckReeDefinability(*entry.graph, relation,
-                                              options));
+    // The level monoid depends on the graph and representation only
+    // (Lemma 30); S enters the cover test alone.
+    ReeRepresentation representation =
+        ReeRepresentationFor(graph, relation, options);
+    GQD_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ReeMonoid> monoid,
+        AcquireSetup(&entry.setups->ree, representation, options,
+                     CheckSetupKind::kRee, &stats_, [&] {
+                       return CloseReeMonoid(graph, representation, options);
+                     }));
+    GQD_ASSIGN_OR_RETURN(
+        ReeDefinabilityResult result,
+        monoid != nullptr
+            ? CheckReeDefinability(*monoid, graph, relation, options)
+            : CheckReeDefinability(graph, relation, options));
     body.emplace_back("verdict",
                       std::string(DefinabilityVerdictToString(
                           result.verdict)));
@@ -688,8 +754,7 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     options.csp.cancel = cancel;
     options.csp.budget = budget;
     GQD_ASSIGN_OR_RETURN(UcrdpqDefinabilityResult result,
-                         CheckUcrdpqDefinability(*entry.graph, relation,
-                                                 options));
+                         CheckUcrdpqDefinability(graph, relation, options));
     body.emplace_back("verdict",
                       std::string(DefinabilityVerdictToString(
                           result.verdict)));
@@ -769,7 +834,8 @@ Result<JsonValue> QueryService::HandleStats() {
   body.emplace_back(
       "stats",
       EmbedJson(stats_.ToJson(pool_.GetStats(), cache_.GetStats(),
-                              admission_.GetStats())));
+                              admission_.GetStats(),
+                              registry_.CheckSetupBytes())));
   return JsonValue(std::move(body));
 }
 
@@ -778,7 +844,8 @@ Result<JsonValue> QueryService::HandleMetrics() {
   body.emplace_back("metrics",
                     stats_.RenderPrometheus(pool_.GetStats(),
                                             cache_.GetStats(),
-                                            admission_.GetStats()));
+                                            admission_.GetStats(),
+                                            registry_.CheckSetupBytes()));
   return JsonValue(std::move(body));
 }
 

@@ -54,12 +54,12 @@
 #include "analysis/plan/query_plan.h"
 #include "common/budget.h"
 #include "common/cancel.h"
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "obs/trace_context.h"
 #include "rem/ast.h"
 #include "runtime/admission.h"
 #include "runtime/graph_registry.h"
-#include "runtime/json.h"
 #include "runtime/line_handler.h"
 #include "runtime/result_cache.h"
 #include "runtime/stats.h"

@@ -6,6 +6,15 @@
 
 namespace gqd {
 
+namespace {
+
+// Label values of gqd_check_setup_total, indexed by CheckSetupKind and
+// CheckSetupUse.
+constexpr const char* kCheckSetupKindNames[] = {"krem", "ree"};
+constexpr const char* kCheckSetupUseNames[] = {"hit", "miss", "bypass"};
+
+}  // namespace
+
 ServerStats::ServerStats() {
   requests_ = registry_.GetCounter("gqd_requests_total");
   errors_ = registry_.GetCounter("gqd_request_errors_total");
@@ -20,6 +29,14 @@ ServerStats::ServerStats() {
   budget_axis_[2] =
       registry_.GetCounter("gqd_budget_exhausted_total", {{"axis", "wall"}});
   latency_us_ = registry_.GetHistogram("gqd_request_latency_us");
+  for (int kind = 0; kind < 2; kind++) {
+    for (int use = 0; use < 3; use++) {
+      check_setup_[kind][use] = registry_.GetCounter(
+          "gqd_check_setup_total",
+          {{"kind", kCheckSetupKindNames[kind]},
+           {"result", kCheckSetupUseNames[use]}});
+    }
+  }
 }
 
 ServerStats::PerCommand* ServerStats::PerCommandEntry(
@@ -78,6 +95,10 @@ void ServerStats::RecordBudgetAxis(BudgetAxis axis) {
   }
 }
 
+void ServerStats::RecordCheckSetup(CheckSetupKind kind, CheckSetupUse use) {
+  check_setup_[static_cast<int>(kind)][static_cast<int>(use)]->Inc();
+}
+
 std::uint64_t ServerStats::total_requests() const {
   return requests_->value();
 }
@@ -86,7 +107,8 @@ std::uint64_t ServerStats::shed_requests() const { return shed_->value(); }
 
 std::string ServerStats::ToJson(const ThreadPool::Stats& pool,
                                 const ResultCache::Stats& cache,
-                                const AdmissionStats& admission) const {
+                                const AdmissionStats& admission,
+                                std::size_t check_setup_bytes) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{";
   out += "\"requests\":" + std::to_string(requests_->value());
@@ -159,6 +181,17 @@ std::string ServerStats::ToJson(const ThreadPool::Stats& pool,
   out += ",\"entries\":" + std::to_string(cache.entries);
   out += ",\"capacity\":" + std::to_string(cache.capacity);
   out += "}";
+  out += ",\"check_setup\":{";
+  for (int kind = 0; kind < 2; kind++) {
+    out += std::string("\"") + kCheckSetupKindNames[kind] + "\":{";
+    for (int use = 0; use < 3; use++) {
+      out += std::string(use == 0 ? "" : ",") + "\"" +
+             kCheckSetupUseNames[use] +
+             "\":" + std::to_string(check_setup_[kind][use]->value());
+    }
+    out += "},";
+  }
+  out += "\"bytes\":" + std::to_string(check_setup_bytes) + "}";
   out += ",\"admission\":{";
   out += "\"admitted\":" + std::to_string(admission.admitted);
   out += ",\"queued\":" + std::to_string(admission.queued);
@@ -202,8 +235,11 @@ void ServerStats::MirrorSnapshots(const ThreadPool::Stats& pool,
 
 std::string ServerStats::RenderPrometheus(const ThreadPool::Stats& pool,
                                           const ResultCache::Stats& cache,
-                                          const AdmissionStats& admission) {
+                                          const AdmissionStats& admission,
+                                          std::size_t check_setup_bytes) {
   MirrorSnapshots(pool, cache, admission);
+  registry_.GetGauge("gqd_check_setup_bytes")
+      ->Set(static_cast<std::int64_t>(check_setup_bytes));
   UpdateFailpointMetrics(&registry_);
   UpdatePlanMetrics(&registry_);
   UpdateStorageMetrics(&registry_);

@@ -33,6 +33,13 @@
 
 namespace gqd {
 
+/// Which held checker setup a served check consulted (see
+/// runtime/check_setups.h), and how: reused (hit), built because none was
+/// held (miss), or passed over because the request could make a fresh
+/// build differ (bypass).
+enum class CheckSetupKind { kKRem, kRee };
+enum class CheckSetupUse { kHit, kMiss, kBypass };
+
 class ServerStats {
  public:
   static constexpr std::size_t kNumLatencyBuckets = Histogram::kNumBuckets;
@@ -54,6 +61,9 @@ class ServerStats {
   /// (`gqd_budget_exhausted_total{axis=...}`). kNone is ignored.
   void RecordBudgetAxis(BudgetAxis axis);
 
+  /// Counts one setup lookup (`gqd_check_setup_total{kind, result}`).
+  void RecordCheckSetup(CheckSetupKind kind, CheckSetupUse use);
+
   std::uint64_t total_requests() const;
   std::uint64_t shed_requests() const;
 
@@ -62,18 +72,20 @@ class ServerStats {
   MetricsRegistry* registry() { return &registry_; }
 
   /// One JSON object combining request counters, the latency histograms
-  /// (global buckets plus per-command p50/p99), and the supplied
-  /// pool/cache/admission snapshots.
+  /// (global buckets plus per-command p50/p99), the check-setup counters,
+  /// and the supplied pool/cache/admission snapshots and held setup bytes.
   std::string ToJson(const ThreadPool::Stats& pool,
                      const ResultCache::Stats& cache,
-                     const AdmissionStats& admission = {}) const;
+                     const AdmissionStats& admission = {},
+                     std::size_t check_setup_bytes = 0) const;
 
   /// Prometheus text exposition of the whole registry, with the supplied
-  /// pool/cache/admission snapshots mirrored into gauges/counters and
-  /// every registered failpoint site exported.
+  /// pool/cache/admission snapshots and held setup bytes mirrored into
+  /// gauges/counters and every registered failpoint site exported.
   std::string RenderPrometheus(const ThreadPool::Stats& pool,
                                const ResultCache::Stats& cache,
-                               const AdmissionStats& admission = {});
+                               const AdmissionStats& admission = {},
+                               std::size_t check_setup_bytes = 0);
 
  private:
   struct PerCommand {
@@ -95,6 +107,7 @@ class ServerStats {
   Counter* resource_exhausted_;
   Counter* deadline_exceeded_;
   Counter* budget_axis_[3];  ///< bytes, tuples, wall
+  Counter* check_setup_[2][3];  ///< [krem, ree][hit, miss, bypass]
   Histogram* latency_us_;
 
   mutable std::mutex mutex_;  ///< guards per_command_ map shape only

@@ -12,11 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
 #include "runtime/admission.h"
-#include "runtime/json.h"
 #include "runtime/service.h"
 
 namespace gqd {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/budget.h"
 #include "definability/assignment_graph.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
@@ -102,6 +106,98 @@ TEST(AssignmentGraph, RejectsHugeStateSpaces) {
                                  .seed = 1});
   auto ag = AssignmentGraph::Build(g, 4);
   EXPECT_FALSE(ag.ok());
+}
+
+/// A 28-node path with 28 distinct values: at k = 4 it has
+/// 28 · 29^4 ≈ 19.8M states, over the 2^24 cap, in a few hundred bytes of
+/// graph.
+DataGraph HighDeltaPath() {
+  DataGraph g;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 28; i++) {
+    nodes.push_back(g.AddNodeWithValue("v" + std::to_string(i),
+                                       "n" + std::to_string(i)));
+  }
+  for (int i = 0; i + 1 < 28; i++) {
+    g.AddEdgeByName(nodes[i], "a", nodes[i + 1]);
+  }
+  return g;
+}
+
+TEST(AssignmentGraph, OverCapUnderAByteBudgetIsResourceExhausted) {
+  DataGraph g = HighDeltaPath();
+  ResourceBudget bytes(std::uint64_t{1} << 30, 0);
+  auto budgeted = AssignmentGraph::Build(g, 4, &bytes);
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_EQ(budgeted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(budgeted.status().message().find("bytes of adjacency"),
+            std::string::npos)
+      << budgeted.status();
+  EXPECT_EQ(bytes.bytes_used(), 0u) << "refused before allocating";
+
+  // No byte limit: the cap stays a hard OutOfRange.
+  auto unbudgeted = AssignmentGraph::Build(g, 4);
+  ASSERT_FALSE(unbudgeted.ok());
+  EXPECT_EQ(unbudgeted.status().code(), StatusCode::kOutOfRange);
+  ResourceBudget tuples_only(0, 1000);
+  auto tuples = AssignmentGraph::Build(g, 4, &tuples_only);
+  ASSERT_FALSE(tuples.ok());
+  EXPECT_EQ(tuples.status().code(), StatusCode::kOutOfRange);
+
+  // Under the cap a byte budget admits exactly what it admitted before.
+  ResourceBudget roomy(std::uint64_t{1} << 30, 0);
+  EXPECT_TRUE(AssignmentGraph::Build(g, 1, &roomy).ok());
+}
+
+TEST(AssignmentGraph, ChargeReuseReplaysTheBuildCharges) {
+  DataGraph g = Figure1Graph();
+  for (std::uint64_t max_bytes : {std::uint64_t{0}, std::uint64_t{1} << 30}) {
+    SCOPED_TRACE(max_bytes);
+    ResourceBudget cold(max_bytes, 1000);
+    auto ag = AssignmentGraph::Build(g, 2, &cold);
+    ASSERT_TRUE(ag.ok()) << ag.status();
+    EXPECT_TRUE(ag.value().has_kernel());
+    EXPECT_EQ(cold.bytes_used(), ag.value().BuildChargeBytes(max_bytes != 0));
+
+    ResourceBudget warm(max_bytes, 1000);
+    ASSERT_TRUE(ag.value().ChargeReuse(&warm).ok());
+    EXPECT_EQ(warm.bytes_used(), cold.bytes_used());
+    EXPECT_EQ(warm.bytes_peak(), cold.bytes_peak());
+    EXPECT_EQ(warm.tuples_used(), cold.tuples_used());
+  }
+}
+
+TEST(AssignmentGraph, KernelDroppedForABudgetIsRecorded) {
+  DataGraph g = Figure1Graph();
+  auto full = AssignmentGraph::Build(g, 2).ValueOrDie();
+  // Room for the successor lists but not the kernel rows.
+  ResourceBudget tight(full.BuildChargeBytes(false) + 64, 0);
+  auto degraded = AssignmentGraph::Build(g, 2, &tight);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_FALSE(degraded.value().has_kernel());
+  EXPECT_TRUE(degraded.value().kernel_dropped_for_budget());
+  EXPECT_FALSE(full.kernel_dropped_for_budget());
+}
+
+TEST(AssignmentGraph, ReleasingKernelRowsKeepsTheRecordedCharges) {
+  DataGraph g = Figure1Graph();
+  auto ag = AssignmentGraph::Build(g, 1).ValueOrDie();
+  ASSERT_TRUE(ag.has_kernel());
+  auto successor_count = [&] {
+    std::size_t count = 0;
+    for (AgState s = 0; s < ag.num_states(); s++) {
+      count += ag.SuccessorsOf(1, 0, s).size();
+    }
+    return count;
+  };
+  std::size_t successors = successor_count();
+  std::uint64_t charged = ag.BuildChargeBytes(true);
+  std::size_t held = ag.HeldBytes();
+  ag.ReleaseKernelRows();
+  EXPECT_FALSE(ag.has_kernel());
+  EXPECT_EQ(ag.BuildChargeBytes(true), charged);
+  EXPECT_LT(ag.HeldBytes(), held);
+  EXPECT_EQ(successor_count(), successors) << "successor lists stay";
 }
 
 TEST(AssignmentGraph, KZeroHasSingletonAssignment) {

@@ -26,6 +26,7 @@
 #include "common/budget.h"
 #include "common/cancel.h"
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "definability/assignment_graph.h"
 #include "definability/krem_definability.h"
@@ -37,7 +38,6 @@
 #include "graph/serialization.h"
 #include "homomorphism/csp.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/result_cache.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
@@ -613,6 +613,77 @@ TEST_F(SocketChaosTest, CheckerFaultsSurfaceAsErrorResponsesUnderServe) {
     ASSERT_TRUE(clean.ok()) << clean.status();
     EXPECT_NE(clean.value().find("\"ok\":true"), std::string::npos)
         << clean.value();
+  }
+}
+
+// --- Setup failpoints on warm hits ---------------------------------------
+//
+// A served check that reuses a held setup (k-assignment graph, REE level
+// monoid) replays the build's failpoint hits, so an armed site fires on a
+// warm hit exactly as on a cold build, and disarming restores bit-identical
+// responses.
+
+std::string HandleCheck(QueryService* service, const std::string& checker,
+                        double k, const std::string& relation) {
+  JsonValue::Object request;
+  request.emplace_back("cmd", "check");
+  request.emplace_back("graph", "fig1");
+  request.emplace_back("checker", checker);
+  request.emplace_back("k", k);
+  request.emplace_back("relation", relation);
+  bool shutdown = false;
+  return service->HandleLine(JsonValue(std::move(request)).Serialize(),
+                             &shutdown);
+}
+
+TEST_F(ChaosTest, SetupFailpointsFireColdAndWarmAndRecoverBitIdentically) {
+  DataGraph fig1 = Figure1Graph();
+  std::string relation = WriteRelationText(fig1, Figure1S2(fig1));
+  struct Scenario {
+    const char* spec;
+    const char* checker;
+    double k;
+  };
+  // ree.closure is hit once per closure round; on Figure 1 the closure
+  // runs several, so fail-nth:2 faults the second round cold and warm.
+  const Scenario scenarios[] = {
+      {"assignment_graph.build:fail-once", "krem", 1.0},
+      {"assignment_graph.build:fail-once", "rpq", 0.0},
+      {"ree.closure:fail-once", "ree", 0.0},
+      {"ree.closure:fail-nth:2", "ree", 0.0},
+  };
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(std::string(scenario.spec) + " " + scenario.checker);
+    std::string site = std::string(scenario.spec).substr(
+        0, std::string(scenario.spec).find(':'));
+
+    // Cold: a fresh service builds the setup under the armed site.
+    QueryService cold;
+    cold.registry().Register("fig1", Figure1Graph());
+    Arm(scenario.spec);
+    std::uint64_t fired = FiredCount(site);
+    std::string cold_fault =
+        HandleCheck(&cold, scenario.checker, scenario.k, relation);
+    EXPECT_EQ(FiredCount(site), fired + 1);
+    EXPECT_NE(cold_fault.find("ResourceExhausted"), std::string::npos)
+        << cold_fault;
+    EXPECT_NE(cold_fault.find(site), std::string::npos) << cold_fault;
+    FailpointRegistry::Instance().Reset();
+    std::string baseline =
+        HandleCheck(&cold, scenario.checker, scenario.k, relation);
+    EXPECT_NE(baseline.find("\"ok\":true"), std::string::npos) << baseline;
+
+    // Warm: the setup is held now; the armed site still fires on the hit
+    // and the fault response is the cold one, byte for byte.
+    Arm(scenario.spec);
+    fired = FiredCount(site);
+    std::string warm_fault =
+        HandleCheck(&cold, scenario.checker, scenario.k, relation);
+    EXPECT_EQ(FiredCount(site), fired + 1);
+    EXPECT_EQ(warm_fault, cold_fault);
+    FailpointRegistry::Instance().Reset();
+    EXPECT_EQ(HandleCheck(&cold, scenario.checker, scenario.k, relation),
+              baseline);
   }
 }
 

@@ -20,13 +20,13 @@
 #include "cluster/hash_ring.h"
 #include "cluster/router.h"
 #include "cluster/worker_link.h"
+#include "common/json.h"
 #include "eval/rpq_eval.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
 #include "regex/parser.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
 

@@ -6,6 +6,8 @@
 
 #include <chrono>
 
+#include "analysis/plan/kernel_class.h"
+#include "common/budget.h"
 #include "common/cancel.h"
 #include "definability/krem_definability.h"
 #include "definability/ree_definability.h"
@@ -16,6 +18,7 @@
 #include "eval/rpq_eval.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
+#include "graph/sparse_relation.h"
 #include "rem/parser.h"
 #include "ree/parser.h"
 #include "regex/parser.h"
@@ -422,6 +425,133 @@ TEST(Definability, BudgetExhaustionReported) {
   auto result = CheckKRemDefinability(g, Figure1S2(g), 2, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+}
+
+// --- Per-graph setups (Definition 19, Lemma 30) -----------------------------
+
+// One setup or monoid decides every S over its graph exactly as the cold
+// checker does: the setup depends on the graph (and k) alone.
+TEST(DefinabilitySetups, OneSetupDecidesEveryRelationLikeTheColdCheck) {
+  DataGraph g = Figure1Graph();
+  std::vector<BinaryRelation> relations = {Figure1S1(g), Figure1S2(g),
+                                           Figure1S3(g)};
+  for (std::uint64_t seed = 1; seed <= 4; seed++) {
+    relations.push_back(RandomRelation(g.NumNodes(), 15, seed));
+  }
+  for (std::size_t k = 0; k <= 2; k++) {
+    SCOPED_TRACE(k);
+    KRemSetup setup = BuildKRemSetup(g, k).ValueOrDie();
+    for (const BinaryRelation& s : relations) {
+      AdaptiveRelation adaptive = AdaptiveRelation::FromPairs(
+          g.NumNodes(), s.Pairs(), RelationBackend::kAuto);
+      auto cold = CheckKRemDefinability(g, s, k).ValueOrDie();
+      auto warm = CheckKRemDefinability(setup, g, adaptive).ValueOrDie();
+      EXPECT_EQ(warm.verdict, cold.verdict);
+      EXPECT_EQ(warm.tuples_explored, cold.tuples_explored);
+      ASSERT_EQ(warm.witnesses.size(), cold.witnesses.size());
+      for (std::size_t i = 0; i < warm.witnesses.size(); i++) {
+        EXPECT_EQ(warm.witnesses[i].blocks.size(),
+                  cold.witnesses[i].blocks.size());
+      }
+      if (k == 0) {
+        auto rpq_cold = CheckRpqDefinability(g, s).ValueOrDie();
+        auto rpq_warm = CheckRpqDefinability(setup, g, adaptive).ValueOrDie();
+        EXPECT_EQ(rpq_warm.verdict, rpq_cold.verdict);
+        EXPECT_EQ(rpq_warm.witness_words, rpq_cold.witness_words);
+      }
+    }
+  }
+  for (ReeRepresentation representation :
+       {ReeRepresentation::kDense, ReeRepresentation::kBlocked}) {
+    RelationBackend backend = representation == ReeRepresentation::kDense
+                                  ? RelationBackend::kDense
+                                  : RelationBackend::kSparse;
+    ReeMonoid monoid = CloseReeMonoid(g, representation).ValueOrDie();
+    EXPECT_TRUE(monoid.complete());
+    for (const BinaryRelation& s : relations) {
+      AdaptiveRelation adaptive =
+          AdaptiveRelation::FromPairs(g.NumNodes(), s.Pairs(), backend);
+      auto cold = CheckReeDefinability(g, adaptive).ValueOrDie();
+      auto warm = CheckReeDefinability(monoid, g, adaptive).ValueOrDie();
+      EXPECT_EQ(warm.verdict, cold.verdict);
+      EXPECT_EQ(warm.levels_used, cold.levels_used);
+      EXPECT_EQ(warm.monoid_size, cold.monoid_size);
+      EXPECT_EQ(warm.defining_expression == nullptr,
+                cold.defining_expression == nullptr);
+      if (warm.defining_expression != nullptr) {
+        EXPECT_EQ(ReeToString(warm.defining_expression),
+                  ReeToString(cold.defining_expression));
+      }
+    }
+  }
+}
+
+TEST(DefinabilitySetups, MismatchedSetupsAreRejected) {
+  DataGraph g = Figure1Graph();
+  AdaptiveRelation s = AdaptiveRelation::FromPairs(
+      g.NumNodes(), Figure1S2(g).Pairs(), RelationBackend::kDense);
+  ReeMonoid blocked =
+      CloseReeMonoid(g, ReeRepresentation::kBlocked).ValueOrDie();
+  auto ree = CheckReeDefinability(blocked, g, s);
+  ASSERT_FALSE(ree.ok());
+  EXPECT_EQ(ree.status().code(), StatusCode::kInvalidArgument);
+
+  KRemSetup sparse = BuildKRemSetup(g, 1, {.tuple_store =
+                                               KRemTupleStore::kSparseFrontier})
+                         .ValueOrDie();
+  auto krem = CheckKRemDefinability(sparse, g, s);  // default store: dense
+  ASSERT_FALSE(krem.ok());
+  EXPECT_EQ(krem.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(CheckRpqDefinability(sparse, g, s).ok()) << "k = 1 setup";
+}
+
+// A held setup keeps only what the planned engine reads, and a budget that
+// could change the build, or non-default caps, rule reuse out.
+TEST(DefinabilitySetups, ReuseRulesFollowTheRecordedBuild) {
+  DataGraph g = Figure1Graph();
+  KRemSetup setup = BuildKRemSetup(g, 2).ValueOrDie();
+  ASSERT_NE(setup.dispatch(), nullptr);
+  ASSERT_TRUE(setup.dispatch()->enabled());
+  bool has_dense = setup.dispatch()->class_counts()[static_cast<std::size_t>(
+                       TransitionKernelClass::kDense)] != 0;
+  EXPECT_EQ(setup.assignment_graph().has_kernel(), has_dense);
+
+  KRemDefinabilityOptions options;
+  EXPECT_TRUE(setup.ReusableFor(options));
+  const std::uint64_t charges =
+      setup.assignment_graph().BuildChargeBytes(true);
+  ResourceBudget roomy(charges, 0);
+  options.budget = &roomy;
+  EXPECT_TRUE(setup.ReusableFor(options));
+  ResourceBudget tight(charges - 1, 0);
+  options.budget = &tight;
+  EXPECT_FALSE(setup.ReusableFor(options));
+  ResourceBudget tuples_only(0, 1);
+  options.budget = &tuples_only;
+  EXPECT_TRUE(setup.ReusableFor(options)) << "the build charges no tuples";
+  options.budget = nullptr;
+  options.engine = KRemEngine::kReference;
+  EXPECT_FALSE(setup.ReusableFor(options));
+
+  ReeMonoid monoid = CloseReeMonoid(g, ReeRepresentation::kDense).ValueOrDie();
+  ReeDefinabilityOptions ree_options;
+  EXPECT_TRUE(monoid.ReusableFor(ree_options));
+  ResourceBudget few_tuples(0, monoid.size() - 1);
+  ree_options.budget = &few_tuples;
+  EXPECT_FALSE(monoid.ReusableFor(ree_options));
+  ResourceBudget enough(monoid.charged_bytes(), monoid.size());
+  ree_options.budget = &enough;
+  EXPECT_TRUE(monoid.ReusableFor(ree_options));
+  ree_options.budget = nullptr;
+  ree_options.max_levels = 1;
+  EXPECT_FALSE(monoid.ReusableFor(ree_options));
+
+  ReeDefinabilityOptions capped;
+  capped.max_monoid_size = 3;
+  ReeMonoid stopped =
+      CloseReeMonoid(g, ReeRepresentation::kDense, capped).ValueOrDie();
+  EXPECT_FALSE(stopped.complete());
+  EXPECT_FALSE(stopped.ReusableFor({}));
 }
 
 // --- Theorem 32's reduction: constant-value graphs --------------------------

@@ -12,20 +12,20 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/json.h"
+#include "common/thread_pool.h"
 #include "definability/krem_definability.h"
 #include "definability/ree_definability.h"
 #include "eval/eval_options.h"
 #include "eval/rem_eval.h"
 #include "eval/rpq_eval.h"
 #include "graph/generators.h"
-#include "rem/parser.h"
 #include "regex/parser.h"
+#include "rem/parser.h"
 #include "runtime/graph_registry.h"
-#include "runtime/json.h"
 #include "runtime/result_cache.h"
 #include "runtime/service.h"
 #include "runtime/stats.h"
-#include "common/thread_pool.h"
 
 namespace gqd {
 namespace {

@@ -16,18 +16,21 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
+#include "definability/krem_definability.h"
+#include "definability/ree_definability.h"
 #include "eval/ree_eval.h"
 #include "eval/rem_eval.h"
 #include "eval/rpq_eval.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
+#include "graph/sparse_relation.h"
 #include "obs/trace_context.h"
 #include "ree/parser.h"
 #include "regex/parser.h"
 #include "rem/parser.h"
 #include "runtime/client.h"
-#include "runtime/json.h"
 #include "runtime/server.h"
 #include "runtime/service.h"
 
@@ -726,6 +729,289 @@ TEST_F(ServeTest, ShutdownCommandStopsServer) {
   server_->Wait();  // must return (and quickly) once shutdown is handled
   LineClient late;
   EXPECT_FALSE(late.Connect(server_->port()).ok());
+}
+
+// --- Check setup reuse ------------------------------------------------------
+//
+// Served checks keep the per-graph setups (k-assignment graph + dispatch
+// table, REE level monoid) on the registry entry. A warm check must answer
+// byte-for-byte what a cold one does — verdict, counters and the partial
+// report under every kind of budget — and setups must live exactly as long
+// as the graph content they were built from.
+
+/// One in-process request/response (no socket needed).
+std::string Handle(QueryService* service, const std::string& line) {
+  bool shutdown = false;
+  return service->HandleLine(line, &shutdown);
+}
+
+std::string CheckLine(const std::string& graph, const std::string& checker,
+                      std::size_t k, const std::string& relation,
+                      std::uint64_t max_bytes = 0,
+                      std::uint64_t max_tuples = 0) {
+  JsonValue::Object request;
+  request.emplace_back("cmd", "check");
+  request.emplace_back("graph", graph);
+  request.emplace_back("checker", checker);
+  request.emplace_back("k", static_cast<double>(k));
+  request.emplace_back("relation", relation);
+  if (max_bytes != 0) {
+    request.emplace_back("max_bytes", static_cast<double>(max_bytes));
+  }
+  if (max_tuples != 0) {
+    request.emplace_back("max_tuples", static_cast<double>(max_tuples));
+  }
+  return JsonValue(std::move(request)).Serialize();
+}
+
+/// The stats counter gqd_check_setup_total{kind, result}, read through the
+/// `stats` command.
+std::int64_t SetupCount(QueryService* service, const std::string& kind,
+                        const std::string& result) {
+  auto stats = JsonValue::Parse(Handle(service, R"({"cmd":"stats"})"));
+  const JsonValue* setup =
+      stats.ValueOrDie().Find("stats")->Find("check_setup");
+  return setup->Find(kind)->GetInt(result).ValueOrDie();
+}
+
+/// An a-cycle over `values.size()` nodes (node i carries data value
+/// values[i]) plus b-chords i → i + 3: small level monoids, so REE checks
+/// without a budget finish in milliseconds.
+DataGraph CycleGraph(const std::vector<std::string>& values) {
+  DataGraph g;
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; i++) {
+    g.AddNodeWithValue(values[i], "n" + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < n; i++) {
+    g.AddEdgeByName(static_cast<NodeId>(i), "a",
+                    static_cast<NodeId>((i + 1) % n));
+    if (i % 2 == 0) {
+      g.AddEdgeByName(static_cast<NodeId>(i), "b",
+                      static_cast<NodeId>((i + 3) % n));
+    }
+  }
+  return g;
+}
+
+TEST(CheckSetupReuse, ColdAndWarmResponsesAreByteIdentical) {
+  struct Graph {
+    std::string name;
+    DataGraph graph;
+  };
+  std::vector<Graph> graphs;
+  graphs.push_back({"fig1", Figure1Graph()});  // n = 10, ρ not injective
+  graphs.push_back({"small", CycleGraph({"x", "y", "x", "y", "z", "z"})});
+  graphs.push_back({"injective", CycleGraph({"d0", "d1", "d2", "d3", "d4",
+                                             "d5", "d6", "d7", "d8", "d9"})});
+
+  struct Case {
+    std::size_t graph;
+    std::string checker;
+    std::size_t k;
+  };
+  const std::vector<Case> cases = {
+      {0, "rpq", 0},  {0, "krem", 0}, {0, "krem", 1}, {0, "krem", 2},
+      {1, "krem", 1}, {1, "ree", 0},  {0, "ree", 0},  {2, "ree", 0},
+  };
+
+  std::size_t compared = 0;
+  for (const Case& c : cases) {
+    const Graph& g = graphs[c.graph];
+    const std::size_t n = g.graph.NumNodes();
+    BinaryRelation s = c.graph == 0 ? Figure1S2(g.graph)
+                                    : RandomRelation(n, 25, 17 + c.k);
+    std::string relation = WriteRelationText(g.graph, s);
+    // Warm-up relation: a different S over the same graph — the setup
+    // depends on the graph alone.
+    std::string warmup = WriteRelationText(g.graph, RandomRelation(n, 10, 99));
+
+    // What the cold check charges before and during its setup: the
+    // relation admission estimate, then the setup build itself.
+    std::size_t nnz = s.Count();
+    std::uint64_t admission =
+        EstimateRelationBytes(ChooseRelationBackend(n, nnz), n, nnz);
+    std::uint64_t setup_bytes = 0;
+    std::uint64_t setup_tuples = 0;
+    AdaptiveRelation adaptive =
+        AdaptiveRelation::FromPairs(n, s.Pairs(), RelationBackend::kAuto);
+    if (c.checker == "ree") {
+      // One REE case per representation a dense S can take.
+      const ReeRepresentation expected[] = {ReeRepresentation::kDense,
+                                            ReeRepresentation::kPacked,
+                                            ReeRepresentation::kDiagonal};
+      ReeRepresentation representation =
+          ReeRepresentationFor(g.graph, adaptive, {});
+      EXPECT_EQ(representation, expected[c.graph]);
+      auto monoid = CloseReeMonoid(g.graph, representation);
+      ASSERT_TRUE(monoid.ok()) << monoid.status();
+      setup_bytes = monoid.value().charged_bytes();
+      setup_tuples = monoid.value().size();
+    } else {
+      auto setup = BuildKRemSetup(g.graph, c.k);
+      ASSERT_TRUE(setup.ok()) << setup.status();
+      setup_bytes = setup.value().assignment_graph().BuildChargeBytes(true);
+    }
+
+    struct Budget {
+      const char* what;
+      std::uint64_t max_bytes;
+      std::uint64_t max_tuples;
+      bool expect_hit;
+    };
+    const std::vector<Budget> budgets = {
+        {"none", 0, 0, true},
+        {"tuples trip mid-search", 0,
+         c.checker == "ree" ? setup_tuples / 2 : 3, c.checker != "ree"},
+        {"bytes trip inside the setup build", admission + 1, 0, false},
+        {"bytes trip half way through the setup", admission + setup_bytes / 2,
+         0, false},
+        {"bytes just enough for the setup", admission + setup_bytes, 0,
+         true},
+    };
+    for (const Budget& budget : budgets) {
+      SCOPED_TRACE(g.name + " " + c.checker + " k=" + std::to_string(c.k) +
+                   " budget: " + budget.what);
+      std::string line = CheckLine(g.name, c.checker, c.k, relation,
+                                   budget.max_bytes, budget.max_tuples);
+      QueryService cold;
+      cold.registry().Register(g.name, DataGraph(g.graph));
+      std::string cold_response = Handle(&cold, line);
+
+      QueryService warm;
+      warm.registry().Register(g.name, DataGraph(g.graph));
+      std::string warmed = Handle(&warm, CheckLine(g.name, c.checker, c.k,
+                                                   warmup));
+      ASSERT_NE(warmed.find("\"ok\":true"), std::string::npos) << warmed;
+      const std::string kind = c.checker == "ree" ? "ree" : "krem";
+      std::int64_t hits = SetupCount(&warm, kind, "hit");
+      std::string warm_response = Handle(&warm, line);
+      EXPECT_EQ(warm_response, cold_response);
+      if (budget.expect_hit) {
+        EXPECT_EQ(SetupCount(&warm, kind, "hit"), hits + 1) << warm_response;
+      }
+      compared++;
+    }
+  }
+  EXPECT_EQ(compared, cases.size() * 5);
+}
+
+TEST(CheckSetupReuse, ReloadedNameNeverReusesItsOldSetup) {
+  QueryService service;
+  DataGraph first = Figure1Graph();
+  std::string relation = WriteRelationText(first, Figure1S2(first));
+  service.registry().Register("g", std::move(first));
+  Handle(&service, CheckLine("g", "krem", 1, relation));
+  Handle(&service, CheckLine("g", "ree", 0, relation));
+  ASSERT_EQ(SetupCount(&service, "krem", "miss"), 1);
+  ASSERT_EQ(SetupCount(&service, "ree", "miss"), 1);
+
+  // Same node names, one edge more: different content under the old name.
+  DataGraph second = Figure1Graph();
+  second.AddEdgeByName(0, "a", 1);
+  second.AddEdgeByName(1, "b", 0);
+  service.registry().Register("g", std::move(second));
+  std::string krem = Handle(&service, CheckLine("g", "krem", 1, relation));
+  std::string ree = Handle(&service, CheckLine("g", "ree", 0, relation));
+  EXPECT_NE(krem.find("\"ok\":true"), std::string::npos) << krem;
+  EXPECT_NE(ree.find("\"ok\":true"), std::string::npos) << ree;
+  EXPECT_EQ(SetupCount(&service, "krem", "hit"), 0);
+  EXPECT_EQ(SetupCount(&service, "ree", "hit"), 0);
+  EXPECT_EQ(SetupCount(&service, "krem", "miss"), 2);
+  EXPECT_EQ(SetupCount(&service, "ree", "miss"), 2);
+
+  // The reloaded content answers exactly as a service that never saw the
+  // old graph does.
+  QueryService fresh;
+  DataGraph again = Figure1Graph();
+  again.AddEdgeByName(0, "a", 1);
+  again.AddEdgeByName(1, "b", 0);
+  fresh.registry().Register("g", std::move(again));
+  EXPECT_EQ(krem, Handle(&fresh, CheckLine("g", "krem", 1, relation)));
+  EXPECT_EQ(ree, Handle(&fresh, CheckLine("g", "ree", 0, relation)));
+}
+
+TEST(CheckSetupReuse, IdenticalContentUnderTwoNamesSharesSetups) {
+  QueryService service;
+  DataGraph g = Figure1Graph();
+  std::string relation = WriteRelationText(g, Figure1S2(g));
+  service.registry().Register("a", DataGraph(g));
+  service.registry().Register("b", std::move(g));
+  std::string via_a = Handle(&service, CheckLine("a", "krem", 2, relation));
+  std::size_t held = service.registry().CheckSetupBytes();
+  EXPECT_GT(held, 0u);
+  std::string via_b = Handle(&service, CheckLine("b", "krem", 2, relation));
+  EXPECT_EQ(via_a, via_b);
+  EXPECT_EQ(SetupCount(&service, "krem", "miss"), 1);
+  EXPECT_EQ(SetupCount(&service, "krem", "hit"), 1);
+  EXPECT_EQ(service.registry().CheckSetupBytes(), held)
+      << "the shared holder is counted once";
+}
+
+TEST(CheckSetupReuse, RacingFirstChecksAgreeAndHoldOneSetup) {
+  QueryService service;
+  DataGraph g = RandomDataGraph({.num_nodes = 12,
+                                 .num_labels = 2,
+                                 .num_data_values = 4,
+                                 .edge_percent = 20,
+                                 .seed = 21});
+  std::string relation =
+      WriteRelationText(g, RandomRelation(g.NumNodes(), 15, 4));
+  std::size_t one_setup = BuildKRemSetup(g, 2).ValueOrDie().HeldBytes();
+  service.registry().Register("race", std::move(g));
+  std::string line = CheckLine("race", "krem", 2, relation);
+
+  constexpr int kThreads = 8;
+  std::vector<std::string> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back(
+        [&, t] { responses[t] = Handle(&service, line); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 1; t < kThreads; t++) {
+    EXPECT_EQ(responses[t], responses[0]);
+  }
+  EXPECT_EQ(SetupCount(&service, "krem", "hit") +
+                SetupCount(&service, "krem", "miss"),
+            kThreads);
+  EXPECT_GE(SetupCount(&service, "krem", "miss"), 1);
+  EXPECT_EQ(service.registry().CheckSetupBytes(), one_setup)
+      << "the first insert wins; later builds are dropped";
+  EXPECT_EQ(Handle(&service, line), responses[0]);
+}
+
+TEST(CheckSetupReuse, MetricsExportSetupCountersAndHeldBytes) {
+  QueryService service;
+  DataGraph g = Figure1Graph();
+  std::string relation = WriteRelationText(g, Figure1S2(g));
+  service.registry().Register("fig1", std::move(g));
+  Handle(&service, CheckLine("fig1", "ree", 0, relation));
+  Handle(&service, CheckLine("fig1", "ree", 0, relation));
+  std::string metrics = JsonValue::Parse(Handle(&service,
+                                                R"({"cmd":"metrics"})"))
+                            .ValueOrDie()
+                            .GetString("metrics")
+                            .ValueOrDie();
+  EXPECT_NE(metrics.find(
+                R"(gqd_check_setup_total{kind="ree",result="hit"} 1)"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find(
+                R"(gqd_check_setup_total{kind="ree",result="miss"} 1)"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("gqd_check_setup_bytes " +
+                         std::to_string(service.registry().CheckSetupBytes())),
+            std::string::npos);
+  auto stats = JsonValue::Parse(Handle(&service, R"({"cmd":"stats"})"));
+  EXPECT_EQ(stats.ValueOrDie()
+                .Find("stats")
+                ->Find("check_setup")
+                ->GetInt("bytes")
+                .ValueOrDie(),
+            static_cast<std::int64_t>(service.registry().CheckSetupBytes()));
 }
 
 }  // namespace

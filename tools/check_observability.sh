@@ -9,9 +9,11 @@
 #    Chrome trace-event JSON: schema of every event, stage totals present,
 #    and per-generation BFS spans summing to within 10% of the reported
 #    krem.bfs wall time.
-# 2. Starts `gqd serve`, exercises a trace:true eval and the `metrics`
-#    command over a real socket, and validates the Prometheus text
-#    exposition line-by-line (scrape format).
+# 2. Starts `gqd serve`, exercises a trace:true eval, sends two identical
+#    traced checks per setup kind (the second must reuse the first one's
+#    k-assignment graph / REE monoid: no build span, a setup hit), and
+#    validates the `metrics` Prometheus text exposition line-by-line
+#    (scrape format).
 # 3. Starts a two-worker `gqd route` cluster, validates that a traced
 #    routed eval returns ONE merged span tree (router + worker spans under
 #    one trace id), that router stats carry per-command quantiles and
@@ -104,13 +106,13 @@ if [[ -z "${PORT}" ]]; then
   exit 1
 fi
 
-python3 - "${PORT}" "${OUT_DIR}/metrics.txt" <<'EOF'
+python3 - "${PORT}" "${OUT_DIR}/metrics.txt" "${RELATION}" <<'EOF'
 import json
 import re
 import socket
 import sys
 
-port, metrics_path = int(sys.argv[1]), sys.argv[2]
+port, metrics_path, relation_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 
 
 def call(request):
@@ -151,6 +153,27 @@ again = call({"cmd": "eval", "graph": "social_network", "language": "rpq",
               "query": "follows+", "trace": True})
 assert '"hit":1' in json.dumps(again, separators=(",", ":")), again
 
+# Check setup reuse: the second identical traced check runs on the setup
+# the first one built, so its span tree has no assignment-graph build or
+# level-closure span, and the setup counters record the hit.
+with open(relation_path) as f:
+    relation = f.read()
+for checker, k, closure_span in (("krem", 1, "krem.assignment_graph_build"),
+                                 ("ree", 0, "ree.level_algorithm")):
+    request = {"cmd": "check", "graph": "social_network", "checker": checker,
+               "k": k, "relation": relation, "trace": True}
+    trees = []
+    for _ in range(2):
+        response = call(request)
+        assert response["ok"], response
+        names.clear()
+        walk(response["trace"])
+        trees.append(set(names))
+    assert closure_span in trees[0], (closure_span, sorted(trees[0]))
+    assert closure_span not in trees[1], (closure_span, sorted(trees[1]))
+    assert "serve.check_setup_reuse" in trees[1], sorted(trees[1])
+    print(f"{checker}: warm check reuses the setup (no {closure_span} span)")
+
 # Prometheus exposition: validate every line against the scrape format.
 response = call({"cmd": "metrics"})
 assert response["ok"], response
@@ -178,8 +201,13 @@ for required in ("gqd_requests_total", "gqd_request_latency_us",
                  "gqd_budget_exhausted_total",
                  "gqd_failpoint_triggered_total",
                  "gqd_plan_builds_total",
-                 "gqd_plan_kernel_hits_total"):
+                 "gqd_plan_kernel_hits_total",
+                 "gqd_check_setup_total",
+                 "gqd_check_setup_bytes"):
     assert required in families, f"missing family {required}"
+for kind in ("krem", "ree"):
+    hit = f'gqd_check_setup_total{{kind="{kind}",result="hit"}} 1'
+    assert hit in text.splitlines(), f"missing {hit!r}"
 print(f"metrics exposition OK ({len(families)} families)")
 
 call({"cmd": "shutdown"})

@@ -1,0 +1,36 @@
+# A budgeted check whose assignment graph is over the 2^24-state cap exits 4
+# (a budget outcome naming the estimated adjacency bytes); without a budget
+# it stays a hard error (exit 1). Run as a CTest script with
+# -DGQD=<gqd binary> -DWORK=<scratch dir>.
+#
+# The graph is a 28-node path with 28 distinct data values, so at k = 4 the
+# assignment graph has 28 · 29^4 ≈ 19.8M states.
+
+file(REMOVE_RECURSE ${WORK})
+file(MAKE_DIRECTORY ${WORK})
+
+set(graph "")
+foreach(i RANGE 27)
+  string(APPEND graph "node n${i} v${i}\n")
+endforeach()
+foreach(i RANGE 26)
+  math(EXPR next "${i} + 1")
+  string(APPEND graph "edge n${i} a n${next}\n")
+endforeach()
+file(WRITE ${WORK}/path.graph "${graph}")
+file(WRITE ${WORK}/path.pairs "pair n0 n1\n")
+
+function(expect_exit code pattern)
+  execute_process(COMMAND ${GQD} check ${WORK}/path.graph ${WORK}/path.pairs
+                          --language rem --k 4 ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL code)
+    message(FATAL_ERROR "expected exit ${code}, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  if(NOT "${out}${err}" MATCHES "${pattern}")
+    message(FATAL_ERROR "output lacks '${pattern}': ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+
+expect_exit(4 "bytes of adjacency" --max-bytes 100000000)
+expect_exit(1 "assignment graph too large")
