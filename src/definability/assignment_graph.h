@@ -11,6 +11,14 @@
 // equality pattern of the target value against σ'* — a condition mask then
 // selects successors by pattern membership without re-deriving anything.
 //
+// Layout: the successor lists are one CSR structure — a std::uint32_t
+// offset per row (r̄, a, s), indexed (mask·|Σ| + a)·|Q| + s, plus one
+// contiguous Successor array. Each state (v, σ) has exactly one entry per
+// (store set, out-edge of v), so the array holds exactly 2^k·(δ+1)^k·|E|
+// entries; Build knows both sizes in advance, charges them to the budget
+// before allocating, and fills the rows in index order. A graph whose
+// entry count overflows the offsets is refused like one over the state cap.
+//
 // T_G depends on (G, k) only, never on the relation S being checked, so one
 // built graph serves any number of checks over the same data graph: the
 // k-REM/RPQ checkers split into a per-(G, k) setup (KRemSetup in
@@ -22,6 +30,7 @@
 #define GQD_DEFINABILITY_ASSIGNMENT_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/budget.h"
@@ -47,27 +56,28 @@ class AssignmentGraph {
   /// Requires k <= 4 (the transition alphabet has 2^k · |Σ| · 2^(2^k)
   /// letters; beyond k = 4 the construction is pointless in practice).
   ///
-  /// When `budget` is given, the successor-list adjacency is charged
-  /// against it and exhaustion mid-build fails with ResourceExhausted; the
-  /// optional word-parallel kernel instead *degrades* — it is skipped when
-  /// it would not fit the remaining budget, and callers fall back to
+  /// When `budget` is given, the CSR adjacency (offsets plus entries) is
+  /// charged against it up front and exhaustion fails with
+  /// ResourceExhausted before anything is allocated; the optional
+  /// word-parallel kernel, charged next, instead *degrades* — it is skipped
+  /// when it would not fit the remaining budget, and callers fall back to
   /// SuccessorsOf (slower, but correct).
   ///
-  /// Beyond 2^24 states the build is refused before allocating anything:
-  /// with OutOfRange, or — when `budget` carries a byte limit — with
-  /// ResourceExhausted naming the estimated adjacency bytes, so a budgeted
-  /// caller sees a budget outcome (CLI exit 4) rather than a hard error.
+  /// Beyond 2^24 states, or 2^32 − 1 successor entries, the build is
+  /// refused before allocating anything: with OutOfRange, or — when
+  /// `budget` carries a byte limit — with ResourceExhausted naming the
+  /// adjacency bytes, so a budgeted caller sees a budget outcome (CLI
+  /// exit 4) rather than a hard error.
   static Result<AssignmentGraph> Build(const DataGraph& graph, std::size_t k,
                                        const ResourceBudget* budget = nullptr);
 
   // --- Reuse across checks --------------------------------------------------
 
-  /// Bytes Build charged a budget: the successor-list headers and entries,
-  /// plus the kernel rows when the budget had a byte limit (only then is
-  /// the kernel charged).
+  /// Bytes Build charged a budget: the CSR offsets and entries, plus the
+  /// kernel rows when the budget had a byte limit (only then is the kernel
+  /// charged).
   std::uint64_t BuildChargeBytes(bool byte_limited) const {
-    return adjacency_header_bytes_ + successor_bytes_ +
-           (byte_limited ? kernel_bytes_ : 0);
+    return adjacency_bytes_ + (byte_limited ? kernel_bytes_ : 0);
   }
 
   /// True when Build skipped the kernel only to fit a byte budget: the
@@ -87,7 +97,7 @@ class AssignmentGraph {
   /// turns false; the recorded build charges stay as they were.
   void ReleaseKernelRows();
 
-  /// Resident bytes: successor lists plus any kernel rows still held.
+  /// Resident bytes: the CSR adjacency plus any kernel rows still held.
   std::size_t HeldBytes() const;
 
   std::size_t k() const { return k_; }
@@ -118,12 +128,14 @@ class AssignmentGraph {
     std::uint8_t pattern;
   };
 
-  /// Successors of `state` under store set `store_mask` and letter `label`.
-  const std::vector<Successor>& SuccessorsOf(std::uint32_t store_mask,
-                                             LabelId label,
-                                             AgState state) const {
-    return adjacency_[(store_mask * num_labels_ + label) * num_states_ +
-                      state];
+  /// Successors of `state` under store set `store_mask` and letter `label`,
+  /// in the order of OutEdges(NodeOf(state)).
+  std::span<const Successor> SuccessorsOf(std::uint32_t store_mask,
+                                          LabelId label,
+                                          AgState state) const {
+    std::size_t row = (store_mask * num_labels_ + label) * num_states_ + state;
+    return {successors_.data() + offsets_[row],
+            successors_.data() + offsets_[row + 1]};
   }
 
   // --- Word-parallel transition kernel -------------------------------------
@@ -182,16 +194,17 @@ class AssignmentGraph {
   std::size_t num_patterns_ = 1;  // 2^k
   std::uint64_t assignment_codes_ = 1;  // (δ+1)^k
   std::size_t num_states_ = 0;
-  /// adjacency_[(mask·|Σ| + a)·|Q| + s] = successors of s under (mask, a).
-  std::vector<std::vector<Successor>> adjacency_;
+  /// Row (mask·|Σ| + a)·|Q| + s — the successors of s under (mask, a) — is
+  /// successors_[offsets_[row], offsets_[row + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<Successor> successors_;
   /// Flat kernel rows, stride kernel_row_words_, indexed as in KernelRow.
   std::vector<std::uint64_t> kernel_words_;
   /// Achieved-pattern masks, indexed as in AchievedPatternsAt.
   std::vector<std::uint16_t> kernel_patterns_;
   std::size_t kernel_row_words_ = 0;
   // Build's budget charges, for ChargeReuse and BuildChargeBytes.
-  std::uint64_t adjacency_header_bytes_ = 0;
-  std::uint64_t successor_bytes_ = 0;
+  std::uint64_t adjacency_bytes_ = 0;  ///< offsets plus entries
   std::uint64_t kernel_bytes_ = 0;  ///< 0 unless the kernel was built
   bool kernel_dropped_for_budget_ = false;
 };

@@ -685,7 +685,9 @@ class SparseSuccessorGenerator {
       if (part.empty()) {
         continue;
       }
-      std::sort(part.begin(), part.end());
+      if (!std::is_sorted(part.begin(), part.end())) {
+        std::sort(part.begin(), part.end());
+      }
       part.erase(std::unique(part.begin(), part.end()), part.end());
       s->achieved.push_back(static_cast<std::uint8_t>(p));
     }
@@ -722,25 +724,56 @@ class SparseSuccessorGenerator {
     }
     // From-scratch union of the included pattern parts: concatenate the
     // sorted lists, re-sort, dedup — the sets match the dense Emit's ORs.
-    s->merged.clear();
-    for (std::size_t j = 0; j < s->included_count; j++) {
-      const std::vector<std::uint64_t>& part = s->parts[s->included[j]];
-      s->merged.insert(s->merged.end(), part.begin(), part.end());
+    // A single part is already sorted and deduplicated.
+    const std::vector<std::uint64_t>* merged = &s->parts[s->included[0]];
+    if (s->included_count > 1) {
+      s->merged.clear();
+      for (std::size_t j = 0; j < s->included_count; j++) {
+        const std::vector<std::uint64_t>& part = s->parts[s->included[j]];
+        s->merged.insert(s->merged.end(), part.begin(), part.end());
+      }
+      std::sort(s->merged.begin(), s->merged.end());
+      s->merged.erase(std::unique(s->merged.begin(), s->merged.end()),
+                      s->merged.end());
+      merged = &s->merged;
     }
-    std::sort(s->merged.begin(), s->merged.end());
-    s->merged.erase(std::unique(s->merged.begin(), s->merged.end()),
-                    s->merged.end());
     std::size_t offset = s->arena.size();
-    s->arena.insert(s->arena.end(), s->merged.begin(), s->merged.end());
+    s->arena.insert(s->arena.end(), merged->begin(), merged->end());
     s->candidates.push_back(SparseCandidate{
-        condition, HashTupleWords(s->merged.data(), s->merged.size()),
-        offset, s->merged.size()});
+        condition, HashTupleWords(merged->data(), merged->size()), offset,
+        merged->size()});
   }
 
   const AssignmentGraph& ag_;
   std::size_t num_patterns_;
   const CancelToken* cancel_;
 };
+
+/// One witness per pair, in Pairs() order: pair j's blocks are the path from
+/// the initial tuple to its solution tuple pair_solution[j] along parent
+/// links. Each distinct solution tuple's path is walked once.
+std::vector<KRemWitness> Witnesses(
+    const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    const std::vector<std::size_t>& pair_solution,
+    const std::vector<std::size_t>& parent,
+    const std::vector<BasicRemBlock>& incoming) {
+  std::unordered_map<std::size_t, std::vector<BasicRemBlock>> paths;
+  std::vector<KRemWitness> witnesses;
+  witnesses.reserve(pairs.size());
+  for (std::size_t j = 0; j < pairs.size(); j++) {
+    std::size_t index = pair_solution[j];
+    auto [path, walked] = paths.try_emplace(index);
+    if (walked) {
+      for (std::size_t at = index; at != 0; at = parent[at]) {
+        path->second.push_back(incoming[at]);
+      }
+      std::reverse(path->second.begin(), path->second.end());
+    }
+    witnesses.push_back(
+        KRemWitness{pairs[j].first, pairs[j].second, path->second});
+  }
+  return witnesses;
+}
 
 /// The dense-tuple BFS — the historical implementation, generic over the
 /// relation representation: only num_nodes(), Pairs() and Test() are used,
@@ -767,13 +800,10 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   std::vector<std::size_t> parent;
   std::vector<BasicRemBlock> incoming;
 
-  // Pair bookkeeping: which pairs of S still need a witness, and the tuple
-  // index at which each pair was first accepted.
+  // Pair bookkeeping: pair_solution[j] is the tuple index at which pairs[j]
+  // was first accepted, kUnsolved while it still needs a witness.
   constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::unordered_map<std::uint64_t, std::size_t> pair_solution;
-  for (const auto& [p, q] : pairs) {
-    pair_solution[static_cast<std::uint64_t>(p) * n + q] = kUnsolved;
-  }
+  std::vector<std::size_t> pair_solution(pairs.size(), kUnsolved);
   std::size_t unsolved = pairs.size();
 
   // Safety and acceptance of one tuple: every (v', σ) ∈ Q_i must have
@@ -800,12 +830,11 @@ Result<KRemDefinabilityResult> CheckKRemDense(
         }
       }
     }
-    for (const auto& [p, q] : pairs) {
-      std::uint64_t key = static_cast<std::uint64_t>(p) * n + q;
-      auto it = pair_solution.find(key);
-      if (it->second == kUnsolved &&
+    for (std::size_t j = 0; j < pairs.size(); j++) {
+      const auto& [p, q] = pairs[j];
+      if (pair_solution[j] == kUnsolved &&
           (projections[p * node_words + (q >> 6)] >> (q & 63)) & 1u) {
-        it->second = index;
+        pair_solution[j] = index;
         unsolved--;
       }
     }
@@ -1084,20 +1113,8 @@ Result<KRemDefinabilityResult> CheckKRemDense(
     return result;
   }
 
-  // Reconstruct one witness per pair by walking parent links.
   result.verdict = DefinabilityVerdict::kDefinable;
-  for (const auto& [p, q] : pairs) {
-    std::size_t index =
-        pair_solution[static_cast<std::uint64_t>(p) * n + q];
-    KRemWitness witness;
-    witness.from = p;
-    witness.to = q;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
-      witness.blocks.push_back(incoming[at]);
-    }
-    std::reverse(witness.blocks.begin(), witness.blocks.end());
-    result.witnesses.push_back(std::move(witness));
-  }
+  result.witnesses = Witnesses(pairs, pair_solution, parent, incoming);
   return result;
 }
 
@@ -1122,16 +1139,31 @@ Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
   std::vector<std::size_t> parent;
   std::vector<BasicRemBlock> incoming;
 
+  // Pairs() is row-major, so pairs[row_begin[p], row_begin[p + 1]) is row p
+  // with its targets ascending; pair_solution[j] is the tuple solving
+  // pairs[j].
   constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::unordered_map<std::uint64_t, std::size_t> pair_solution;
+  std::vector<std::size_t> row_begin(n + 1, 0);
   for (const auto& [p, q] : pairs) {
-    pair_solution[static_cast<std::uint64_t>(p) * n + q] = kUnsolved;
+    row_begin[p + 1]++;
   }
+  for (std::size_t p = 0; p < n; p++) {
+    row_begin[p + 1] += row_begin[p];
+  }
+  std::vector<std::size_t> pair_solution(pairs.size(), kUnsolved);
   std::size_t unsolved = pairs.size();
+  auto pair_index = [&](NodeId i, NodeId v) {
+    auto row_end = pairs.begin() + row_begin[i + 1];
+    auto it = std::lower_bound(
+        pairs.begin() + row_begin[i], row_end, std::make_pair(i, v));
+    return it != row_end && it->second == v
+               ? static_cast<std::size_t>(it - pairs.begin())
+               : pairs.size();
+  };
 
   // Safety and acceptance in one streaming pass over the entry list: every
   // (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple then marks each
-  // still-unsolved ⟨v_i, v'⟩ it contains directly in the pair map.
+  // still-unsolved ⟨v_i, v'⟩ it contains directly in pair_solution.
   auto process_tuple = [&](std::size_t index) {
     const std::uint64_t* entries = tuples.EntriesAt(index);
     std::size_t count = tuples.CountAt(index);
@@ -1145,9 +1177,9 @@ Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
     for (std::size_t e = 0; e < count && unsolved > 0; e++) {
       NodeId i = static_cast<NodeId>(entries[e] >> 32);
       NodeId v = ag.NodeOf(static_cast<AgState>(entries[e]));
-      auto it = pair_solution.find(static_cast<std::uint64_t>(i) * n + v);
-      if (it != pair_solution.end() && it->second == kUnsolved) {
-        it->second = index;
+      std::size_t j = pair_index(i, v);
+      if (j < pairs.size() && pair_solution[j] == kUnsolved) {
+        pair_solution[j] = index;
         unsolved--;
       }
     }
@@ -1290,18 +1322,7 @@ Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
   }
 
   result.verdict = DefinabilityVerdict::kDefinable;
-  for (const auto& [p, q] : pairs) {
-    std::size_t index =
-        pair_solution[static_cast<std::uint64_t>(p) * n + q];
-    KRemWitness witness;
-    witness.from = p;
-    witness.to = q;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
-      witness.blocks.push_back(incoming[at]);
-    }
-    std::reverse(witness.blocks.begin(), witness.blocks.end());
-    result.witnesses.push_back(std::move(witness));
-  }
+  result.witnesses = Witnesses(pairs, pair_solution, parent, incoming);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/trace.h"
 
@@ -12,28 +13,77 @@ namespace {
 
 /// For S = ∅: BFS over node subsets T_w = {v : some node reaches v by w},
 /// starting from T_ε = V. R_w = ∅ iff T_w = ∅, so ∅ is RPQ-definable iff
-/// the empty subset is reachable.
-std::optional<std::vector<LabelId>> FindKillingWord(
-    const DataGraph& graph, std::size_t max_subsets) {
+/// the empty subset is reachable. Each subset is stored once, charged to
+/// options.budget as one tuple of ⌈n/64⌉ words plus its bookkeeping, and
+/// the walk polls the budget and options.cancel before every expansion. A
+/// budget trip or the max_tuples cap ends it with kBudgetExhausted.
+Result<RpqDefinabilityResult> FindKillingWord(
+    const DataGraph& graph, const KRemDefinabilityOptions& options) {
   GQD_TRACE_SPAN(span, "rpq.killing_word");
   std::size_t n = graph.NumNodes();
   GQD_TRACE_SPAN_ATTR(span, "nodes", n);
+  const ResourceBudget* budget = options.budget;
+  const std::int64_t subset_bytes = static_cast<std::int64_t>(
+      (n + 63) / 64 * sizeof(std::uint64_t) + sizeof(DynamicBitset) +
+      2 * sizeof(std::size_t) + sizeof(LabelId));
+  std::vector<DynamicBitset> subsets;
+  std::vector<std::size_t> parent;
+  std::vector<LabelId> incoming;
+  // The interner holds indices; hashing and equality read subsets[i].
+  auto hash = [&](std::size_t i) { return subsets[i].Hash(); };
+  auto equal = [&](std::size_t i, std::size_t j) {
+    return subsets[i] == subsets[j];
+  };
+  std::unordered_set<std::size_t, decltype(hash), decltype(equal)> seen(
+      16, hash, equal);
+  // Appends `subset` reached from `from` by `a` unless already seen.
+  auto add = [&](DynamicBitset subset, std::size_t from, LabelId a) {
+    subsets.push_back(std::move(subset));
+    if (!seen.insert(subsets.size() - 1).second) {
+      subsets.pop_back();
+      return false;
+    }
+    parent.push_back(from);
+    incoming.push_back(a);
+    if (budget != nullptr) {
+      budget->ChargeBytes(subset_bytes);
+      budget->ChargeTuples(1);
+    }
+    return true;
+  };
+  auto word_to = [&](std::size_t index) {
+    std::vector<LabelId> word;
+    for (std::size_t at = index; at != 0; at = parent[at]) {
+      word.push_back(incoming[at]);
+    }
+    std::reverse(word.begin(), word.end());
+    return word;
+  };
+
+  RpqDefinabilityResult result;
   DynamicBitset start(n);
   for (NodeId v = 0; v < n; v++) {
     start.Set(v);
   }
-  std::vector<DynamicBitset> subsets = {start};
-  std::vector<std::size_t> parent = {0};
-  std::vector<LabelId> incoming = {0};
-  std::unordered_map<DynamicBitset, std::size_t, DynamicBitsetHash> seen;
-  seen.emplace(start, 0);
+  add(std::move(start), 0, 0);
   for (std::size_t head = 0; head < subsets.size(); head++) {
-    if (subsets.size() > max_subsets) {
-      return std::nullopt;  // budget; callers treat as "not found"
+    if (options.cancel != nullptr && options.cancel->Expired()) {
+      return options.cancel->Check();
+    }
+    bool tripped = budget != nullptr && budget->Exhausted();
+    if (tripped || subsets.size() > options.max_tuples) {
+      result.verdict = DefinabilityVerdict::kBudgetExhausted;
+      result.tuples_explored = subsets.size();
+      if (tripped) {
+        result.partial =
+            PartialProgress{subsets.size(), word_to(head).size(),
+                            budget->bytes_peak(), "rpq-killing-word"};
+      }
+      return result;
     }
     for (LabelId a = 0; a < graph.NumLabels(); a++) {
       DynamicBitset next(n);
-      const DynamicBitset current = subsets[head];
+      const DynamicBitset& current = subsets[head];
       for (std::size_t v = current.FindNext(0); v < n;
            v = current.FindNext(v + 1)) {
         for (const auto& [label, to] : graph.OutEdges(static_cast<NodeId>(v))) {
@@ -43,25 +93,15 @@ std::optional<std::vector<LabelId>> FindKillingWord(
         }
       }
       bool empty = next.None();
-      auto [it, inserted] = seen.emplace(std::move(next), subsets.size());
-      if (inserted) {
-        subsets.push_back(it->first);
-        parent.push_back(head);
-        incoming.push_back(a);
-        if (empty) {
-          // Reconstruct the word.
-          std::vector<LabelId> word;
-          for (std::size_t at = subsets.size() - 1; at != 0;
-               at = parent[at]) {
-            word.push_back(incoming[at]);
-          }
-          std::reverse(word.begin(), word.end());
-          return word;
-        }
+      if (add(std::move(next), head, a) && empty) {
+        result.verdict = DefinabilityVerdict::kDefinable;
+        result.empty_relation_witness = word_to(subsets.size() - 1);
+        return result;
       }
     }
   }
-  return std::nullopt;
+  result.verdict = DefinabilityVerdict::kNotDefinable;
+  return result;
 }
 
 /// Shared body, generic over the relation representation (Empty plus
@@ -70,29 +110,44 @@ template <typename Rel, typename CheckKRem>
 Result<RpqDefinabilityResult> CheckRpqImpl(
     const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options, const CheckKRem& check_krem) {
-  RpqDefinabilityResult result;
   if (relation.Empty()) {
-    auto word = FindKillingWord(graph, options.max_tuples);
-    if (word.has_value()) {
-      result.verdict = DefinabilityVerdict::kDefinable;
-      result.empty_relation_witness = std::move(word);
-    } else {
-      // Either truly unreachable or budget-bound; the subset space is 2^n,
-      // which max_tuples covers for the sizes this library targets.
-      result.verdict = DefinabilityVerdict::kNotDefinable;
-    }
-    return result;
+    return FindKillingWord(graph, options);
   }
+  RpqDefinabilityResult result;
   GQD_ASSIGN_OR_RETURN(KRemDefinabilityResult krem, check_krem());
   result.verdict = krem.verdict;
   result.tuples_explored = krem.tuples_explored;
   result.partial = std::move(krem.partial);
   if (krem.verdict == DefinabilityVerdict::kDefinable) {
+    // Pairs solved by one tuple share its block path: convert each distinct
+    // path to a word once (keyed by a hash of its letters) and copy it.
+    std::unordered_map<std::uint64_t, std::size_t> first_with_word;
+    auto same_letters = [](const std::vector<BasicRemBlock>& blocks,
+                           const std::vector<LabelId>& word) {
+      return std::equal(blocks.begin(), blocks.end(), word.begin(),
+                        word.end(),
+                        [](const BasicRemBlock& block, LabelId a) {
+                          return block.label == a;
+                        });
+    };
+    result.witness_words.reserve(krem.witnesses.size());
     for (const KRemWitness& witness : krem.witnesses) {
-      std::vector<LabelId> word;
+      std::uint64_t hash = witness.blocks.size();
       for (const BasicRemBlock& block : witness.blocks) {
         assert(block.store_mask == 0);
-        word.push_back(block.label);
+        hash = (hash ^ block.label) * 0x100000001b3ull;
+      }
+      auto [it, fresh] =
+          first_with_word.try_emplace(hash, result.witness_words.size());
+      std::vector<LabelId> word;
+      if (!fresh && same_letters(witness.blocks,
+                                 result.witness_words[it->second].second)) {
+        word = result.witness_words[it->second].second;
+      } else {
+        word.reserve(witness.blocks.size());
+        for (const BasicRemBlock& block : witness.blocks) {
+          word.push_back(block.label);
+        }
       }
       result.witness_words.push_back(
           {{witness.from, witness.to}, std::move(word)});

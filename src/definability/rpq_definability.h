@@ -39,7 +39,8 @@ struct RpqDefinabilityResult {
   /// When S = ∅ and definable: a word w with R_w = ∅.
   std::optional<std::vector<LabelId>> empty_relation_witness;
   std::size_t tuples_explored = 0;
-  /// Set iff an options.budget trip stopped the underlying k-REM search.
+  /// Set iff an options.budget trip stopped the underlying k-REM search or,
+  /// for S = ∅, the killing-word walk (stage "rpq-killing-word").
   std::optional<PartialProgress> partial;
 };
 
@@ -49,7 +50,8 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     const KRemDefinabilityOptions& options = {});
 
 /// Density-adaptive overload: S = ∅ runs the killing-word subset walk
-/// (graph-only, no relation memory); otherwise the k = 0 k-REM check runs
+/// (graph-only, no relation memory; each n-bit subset it keeps is charged
+/// to options.budget); otherwise the k = 0 k-REM check runs
 /// on the adaptive relation, streaming frontiers when the dense tuple
 /// store would not fit. Verdicts and witnesses match the dense overload.
 Result<RpqDefinabilityResult> CheckRpqDefinability(

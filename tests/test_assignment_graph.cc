@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/budget.h"
@@ -198,6 +202,188 @@ TEST(AssignmentGraph, ReleasingKernelRowsKeepsTheRecordedCharges) {
   EXPECT_EQ(ag.BuildChargeBytes(true), charged);
   EXPECT_LT(ag.HeldBytes(), held);
   EXPECT_EQ(successor_count(), successors) << "successor lists stay";
+}
+
+// --- CSR layout against Definition 19 --------------------------------------
+
+/// Every register assignment over values {0..δ-1} ∪ {⊥}.
+std::vector<RegisterAssignment> AllAssignments(std::size_t k,
+                                               std::size_t num_values) {
+  std::vector<RegisterAssignment> all = {RegisterAssignment{}};
+  for (std::size_t r = 0; r < k; r++) {
+    std::vector<RegisterAssignment> longer;
+    for (const RegisterAssignment& prefix : all) {
+      for (std::size_t d = 0; d <= num_values; d++) {
+        RegisterAssignment next = prefix;
+        next.push_back(d == num_values ? kEmptyRegister
+                                       : static_cast<std::uint32_t>(d));
+        longer.push_back(next);
+      }
+    }
+    all = std::move(longer);
+  }
+  return all;
+}
+
+/// (target state, pattern) entries of one (mask, letter, state) row.
+using Row = std::vector<std::pair<AgState, std::uint32_t>>;
+
+/// T_G's transitions straight from Definition 19: for each (v, σ), store set
+/// r̄ and edge (v, a, v'), σ' = σ[r̄ → ρ(v)] and the pattern {r : σ'(r) =
+/// ρ(v')}. States are located through NodeOf/AssignmentOf only.
+std::map<std::tuple<std::uint32_t, LabelId, AgState>, Row> OracleRows(
+    const DataGraph& g, const AssignmentGraph& ag) {
+  std::map<std::pair<NodeId, RegisterAssignment>, AgState> state_of;
+  for (AgState s = 0; s < ag.num_states(); s++) {
+    EXPECT_TRUE(state_of.emplace(std::make_pair(ag.NodeOf(s),
+                                                ag.AssignmentOf(s)),
+                                 s)
+                    .second)
+        << "state " << s << " decodes like an earlier one";
+  }
+  std::map<std::tuple<std::uint32_t, LabelId, AgState>, Row> rows;
+  for (NodeId v = 0; v < g.NumNodes(); v++) {
+    for (const RegisterAssignment& sigma :
+         AllAssignments(ag.k(), g.NumDataValues())) {
+      AgState s = state_of.at({v, sigma});
+      for (std::uint32_t mask = 0; mask < ag.num_store_masks(); mask++) {
+        RegisterAssignment sigma_prime = sigma;
+        for (std::size_t r = 0; r < ag.k(); r++) {
+          if (mask & (1u << r)) {
+            sigma_prime[r] = g.DataValueOf(v);
+          }
+        }
+        for (const Edge& e : g.edges()) {
+          if (e.from != v) {
+            continue;
+          }
+          std::uint32_t pattern = 0;
+          for (std::size_t r = 0; r < ag.k(); r++) {
+            if (sigma_prime[r] == g.DataValueOf(e.to)) {
+              pattern |= 1u << r;
+            }
+          }
+          rows[{mask, e.label, s}].emplace_back(
+              state_of.at({e.to, sigma_prime}), pattern);
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(AssignmentGraph, CsrRowsMatchDefinition19OnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 12; seed++) {
+    DataGraph g = RandomDataGraph({.num_nodes = 2 + seed % 11,
+                                   .num_labels = 1 + seed % 3,
+                                   .num_data_values = 1 + seed % 3,
+                                   .edge_percent = 25,
+                                   .seed = seed});
+    for (std::size_t k = 0; k <= 3; k++) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                   std::to_string(k));
+      auto built = AssignmentGraph::Build(g, k);
+      ASSERT_TRUE(built.ok()) << built.status();
+      const AssignmentGraph& ag = built.value();
+      auto oracle = OracleRows(g, ag);
+      std::size_t entries = 0;
+      for (std::uint32_t mask = 0; mask < ag.num_store_masks(); mask++) {
+        for (LabelId a = 0; a < ag.num_labels(); a++) {
+          for (AgState s = 0; s < ag.num_states(); s++) {
+            Row actual;
+            for (const auto& successor : ag.SuccessorsOf(mask, a, s)) {
+              actual.emplace_back(successor.state, successor.pattern);
+            }
+            entries += actual.size();
+            Row expected;
+            auto it = oracle.find({mask, a, s});
+            if (it != oracle.end()) {
+              expected = it->second;
+            }
+            std::sort(actual.begin(), actual.end());
+            std::sort(expected.begin(), expected.end());
+            ASSERT_EQ(actual, expected)
+                << "mask " << mask << " letter " << a << " state " << s;
+            if (!ag.has_kernel()) {
+              continue;
+            }
+            std::uint32_t achieved = 0;
+            for (std::uint32_t p = 0; p < ag.num_patterns(); p++) {
+              std::vector<AgState> from_row;
+              const std::uint64_t* row = ag.KernelRow(mask, a, p, s);
+              for (AgState t = 0; t < ag.num_states(); t++) {
+                if ((row[t >> 6] >> (t & 63)) & 1u) {
+                  from_row.push_back(t);
+                }
+              }
+              std::vector<AgState> from_oracle;
+              for (const auto& [t, pattern] : expected) {
+                if (pattern == p) {
+                  from_oracle.push_back(t);
+                  achieved |= 1u << p;
+                }
+              }
+              from_oracle.erase(
+                  std::unique(from_oracle.begin(), from_oracle.end()),
+                  from_oracle.end());
+              EXPECT_EQ(from_row, from_oracle) << "kernel pattern " << p;
+            }
+            EXPECT_EQ(ag.AchievedPatternsAt(mask, a, s), achieved);
+          }
+        }
+      }
+      // Exactly 2^k·(δ+1)^k·|E| entries.
+      std::size_t codes = 1;
+      for (std::size_t r = 0; r < k; r++) {
+        codes *= g.NumDataValues() + 1;
+      }
+      EXPECT_EQ(entries, ag.num_store_masks() * codes * g.NumEdges());
+    }
+  }
+}
+
+TEST(AssignmentGraph, ChargeReuseFollowsBuildsChargeOrder) {
+  DataGraph g = RandomDataGraph({.num_nodes = 9,
+                                 .num_labels = 2,
+                                 .num_data_values = 3,
+                                 .edge_percent = 30,
+                                 .seed = 7});
+  auto full = AssignmentGraph::Build(g, 2).ValueOrDie();
+  ASSERT_TRUE(full.has_kernel());
+  const std::uint64_t adjacency = full.BuildChargeBytes(false);
+  ASSERT_LT(adjacency, full.BuildChargeBytes(true));
+
+  // Below the up-front adjacency charge: refused before the kernel is even
+  // considered, with only that charge recorded.
+  ResourceBudget short_budget(adjacency - 1, 0);
+  auto refused = AssignmentGraph::Build(g, 2, &short_budget);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(short_budget.bytes_used(), adjacency);
+  EXPECT_EQ(short_budget.bytes_peak(), adjacency);
+  // The replay trips at the same point with the same charge.
+  ResourceBudget short_replay(adjacency - 1, 0);
+  Status replayed = full.ChargeReuse(&short_replay);
+  EXPECT_EQ(replayed.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(short_replay.bytes_used(), adjacency);
+
+  // With room for everything, Build and ChargeReuse charge exactly
+  // BuildChargeBytes(true); without a byte limit the kernel is not charged.
+  for (std::uint64_t max_bytes :
+       {full.BuildChargeBytes(true), std::uint64_t{0}}) {
+    SCOPED_TRACE(max_bytes);
+    std::uint64_t expected = full.BuildChargeBytes(max_bytes != 0);
+    ResourceBudget cold(max_bytes, 0);
+    auto built = AssignmentGraph::Build(g, 2, &cold);
+    ASSERT_TRUE(built.ok()) << built.status();
+    EXPECT_TRUE(built.value().has_kernel());
+    EXPECT_EQ(cold.bytes_used(), expected);
+    ResourceBudget warm(max_bytes, 0);
+    ASSERT_TRUE(full.ChargeReuse(&warm).ok());
+    EXPECT_EQ(warm.bytes_used(), expected);
+    EXPECT_EQ(warm.bytes_peak(), cold.bytes_peak());
+  }
+  EXPECT_GE(full.HeldBytes(), full.BuildChargeBytes(true));
 }
 
 TEST(AssignmentGraph, KZeroHasSingletonAssignment) {

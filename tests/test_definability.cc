@@ -376,6 +376,58 @@ TEST(Definability, EmptyRelationRpqDependsOnGraph) {
   EXPECT_TRUE(EvaluateRpq(line, regex).Empty());
 }
 
+// On a rows×cols grid (a east, b south) T_w keeps exactly the nodes at
+// row ≥ #b(w) and column ≥ #a(w), so the killing-word walk over node subsets
+// first reaches ∅ at depth min(rows, cols), after ~78 subsets on 12×12.
+TEST(Definability, EmptyRelationRpqWalkStopsAtItsBudget) {
+  GridOptions grid;
+  grid.rows = 12;
+  grid.cols = 12;
+  DataGraphSink sink;
+  GenerateGrid(grid, &sink);
+  DataGraph g = sink.Take();
+  BinaryRelation empty(g.NumNodes());
+
+  auto unbounded = CheckRpqDefinability(g, empty);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status();
+  ASSERT_EQ(unbounded.value().verdict, DefinabilityVerdict::kDefinable);
+  ASSERT_TRUE(unbounded.value().empty_relation_witness.has_value());
+  EXPECT_EQ(unbounded.value().empty_relation_witness->size(), 12u);
+  EXPECT_TRUE(
+      EvaluateRpq(g, RegexFromWitnesses(unbounded.value(), g.labels()))
+          .Empty());
+
+  // A byte budget with room for a few subsets: exhausted, with the stage.
+  ResourceBudget bytes(1000, 0);
+  KRemDefinabilityOptions options;
+  options.budget = &bytes;
+  auto tripped = CheckRpqDefinability(g, empty, options);
+  ASSERT_TRUE(tripped.ok()) << tripped.status();
+  EXPECT_EQ(tripped.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  EXPECT_FALSE(tripped.value().empty_relation_witness.has_value());
+  ASSERT_TRUE(tripped.value().partial.has_value());
+  EXPECT_EQ(tripped.value().partial->stage, "rpq-killing-word");
+  EXPECT_GT(tripped.value().partial->tuples_explored, 1u);
+  EXPECT_GT(tripped.value().partial->bytes_peak, 1000u);
+  EXPECT_EQ(bytes.tuples_used(), tripped.value().partial->tuples_explored);
+
+  // The max_tuples cap is a budget outcome too, never "not definable".
+  KRemDefinabilityOptions capped;
+  capped.max_tuples = 5;
+  auto cut = CheckRpqDefinability(g, empty, capped);
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  EXPECT_EQ(cut.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  EXPECT_FALSE(cut.value().partial.has_value());
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  KRemDefinabilityOptions cancelling;
+  cancelling.cancel = &cancelled;
+  auto stopped = CheckRpqDefinability(g, empty, cancelling);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(Definability, FullDiagonalDefinableByEpsilon) {
   DataGraph g = Figure1Graph();
   BinaryRelation diagonal = BinaryRelation::Identity(g.NumNodes());

@@ -24,6 +24,7 @@
 #include "graph/generators.h"
 #include "graph/sparse_relation.h"
 #include "ree/parser.h"
+#include "rem/parser.h"
 #include "storage/container.h"
 #include "storage/graph_store.h"
 
@@ -477,6 +478,68 @@ TEST(KRemDiff, SparseFrontierStoreMatchesDenseStore) {
     ASSERT_TRUE(t.ok()) << "seed " << seed;
     ExpectSameKRemResult(a.value(), t.value(), seed);
   }
+}
+
+TEST(KRemDiff, SparseFrontierWitnessesFollowPairsOrder) {
+  // S = Q(G) is definable, and one tuple usually solves many of its pairs;
+  // the transitive queries put several pairs in a row. On these both
+  // stores, and the sparse store over a sparse relation, must give the same
+  // witnesses, one per pair in Pairs() order, and the same tuples_explored.
+  struct Case {
+    const char* text;
+    std::size_t k;
+  };
+  const Case cases[] = {{"a", 0},          {"a b", 0},
+                        {"(a | b)+", 0},   {"a+ | b", 0},
+                        {"$r1. a+ [r1=]", 1}, {"$r1. (a | b) b [r1!=]", 1}};
+  std::size_t shared_paths = 0;
+  std::size_t multi_pair_rows = 0;
+  for (std::uint64_t seed = 1; seed <= 6; seed++) {
+    DataGraph g = RandomDataGraph({.num_nodes = 6 + seed % 3,
+                                   .num_labels = 2,
+                                   .num_data_values = 2,
+                                   .edge_percent = 25,
+                                   .seed = seed});
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.text) + " seed " + std::to_string(seed));
+      BinaryRelation s = EvaluateRem(g, ParseRem(c.text).ValueOrDie());
+      if (s.Empty()) {
+        continue;
+      }
+      std::vector<std::pair<NodeId, NodeId>> pairs = s.Pairs();
+      KRemDefinabilityOptions dense_store, sparse_store;
+      dense_store.max_tuples = sparse_store.max_tuples = 20'000;
+      dense_store.tuple_store = KRemTupleStore::kDense;
+      sparse_store.tuple_store = KRemTupleStore::kSparseFrontier;
+      auto a = CheckKRemDefinability(g, s, c.k, dense_store);
+      auto b = CheckKRemDefinability(g, s, c.k, sparse_store);
+      AdaptiveRelation sparse_relation = AdaptiveRelation::FromPairs(
+          g.NumNodes(), pairs, RelationBackend::kSparse);
+      auto d = CheckKRemDefinability(g, sparse_relation, c.k, sparse_store);
+      ASSERT_TRUE(a.ok() && b.ok() && d.ok());
+      ASSERT_EQ(a.value().verdict, DefinabilityVerdict::kDefinable);
+      ExpectSameKRemResult(a.value(), b.value(), seed);
+      ExpectSameKRemResult(a.value(), d.value(), seed);
+      const std::vector<KRemWitness>& witnesses = b.value().witnesses;
+      ASSERT_EQ(witnesses.size(), pairs.size());
+      for (std::size_t j = 0; j < pairs.size(); j++) {
+        EXPECT_EQ(witnesses[j].from, pairs[j].first) << "witness " << j;
+        EXPECT_EQ(witnesses[j].to, pairs[j].second) << "witness " << j;
+        if (j > 0 && pairs[j].first == pairs[j - 1].first) {
+          multi_pair_rows++;
+        }
+        for (std::size_t i = 0; i < j; i++) {
+          if (SameBlocks(witnesses[i].blocks, witnesses[j].blocks)) {
+            shared_paths++;
+            break;
+          }
+        }
+      }
+    }
+  }
+  // The instances exercise what the test is about.
+  EXPECT_GT(shared_paths, 50u);
+  EXPECT_GT(multi_pair_rows, 50u);
 }
 
 TEST(KRemDiff, SparseFrontierMaxTuplesTripsIdentically) {
