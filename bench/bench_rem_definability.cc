@@ -154,7 +154,7 @@ DataGraph BandedGraph(std::size_t n, std::size_t bands, std::size_t delta) {
 /// Plan-dispatch ablation: the same medium banded workload through the
 /// planned engine (per-transition kernels from the KernelDispatchTable —
 /// span-clipped scans plus single-target/CSR inner loops) and the
-/// word-parallel kernel engine it downgrades to. run_benches.sh pairs the
+/// reference walk it runs when no table is built. run_benches.sh pairs the
 /// *_Plan/*_NoPlan entries into a plan-dispatch speedup record.
 void RunKRemMediumSparse(benchmark::State& state, KRemEngine engine) {
   DataGraph g = BandedGraph(128, 16, 15);
@@ -183,7 +183,7 @@ void BM_KRemDefinability_MediumSparse_Plan(benchmark::State& state) {
 BENCHMARK(BM_KRemDefinability_MediumSparse_Plan);
 
 void BM_KRemDefinability_MediumSparse_NoPlan(benchmark::State& state) {
-  RunKRemMediumSparse(state, KRemEngine::kKernel);
+  RunKRemMediumSparse(state, KRemEngine::kReference);
 }
 BENCHMARK(BM_KRemDefinability_MediumSparse_NoPlan);
 

@@ -59,8 +59,8 @@ class KernelDispatchTable {
 
   /// Classifies every transition of `ag`. The resulting table is disabled
   /// (enabled() == false, empty pools) when the graph has no states or the
-  /// operand pools would exceed kDispatchMemoryBudgetBytes — callers then
-  /// fall back to the generic engines.
+  /// operand pools would exceed kDispatchMemoryBudgetBytes — the k-REM
+  /// search then runs the reference walk over the successor lists.
   static KernelDispatchTable Build(const AssignmentGraph& ag);
 
   bool enabled() const { return enabled_; }

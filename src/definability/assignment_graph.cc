@@ -105,9 +105,7 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   bool build_kernel =
       ag.num_states_ > 0 &&
       num_rows <= kKernelMemoryBudgetBytes / 8 / (row_words == 0 ? 1 : row_words);
-  std::size_t kernel_bytes =
-      num_rows * row_words * sizeof(std::uint64_t) +
-      rows * sizeof(std::uint16_t);
+  std::size_t kernel_bytes = num_rows * row_words * sizeof(std::uint64_t);
   if (build_kernel && budget != nullptr && budget->max_bytes() != 0) {
     // The kernel is an optimization: degrade (skip it) rather than fail the
     // request when it would not fit the remaining byte budget.
@@ -122,7 +120,6 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
     ag.kernel_bytes_ = kernel_bytes;
     ag.kernel_row_words_ = row_words;
     ag.kernel_words_.assign(num_rows * row_words, 0);
-    ag.kernel_patterns_.assign(rows, 0);
   }
   GQD_TRACE_SPAN_ATTR(span, "states", ag.num_states_);
   GQD_TRACE_SPAN_ATTR(span, "kernel", build_kernel ? 1 : 0);
@@ -175,8 +172,6 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
                 (block * ag.num_patterns_ + pattern) * ag.num_states_ + s;
             ag.kernel_words_[kernel_row * row_words + (target >> 6)] |=
                 std::uint64_t{1} << (target & 63);
-            ag.kernel_patterns_[block * ag.num_states_ + s] |=
-                static_cast<std::uint16_t>(1u << pattern);
           }
         }
       }
@@ -208,14 +203,12 @@ Status AssignmentGraph::ChargeReuse(const ResourceBudget* budget) const {
 
 void AssignmentGraph::ReleaseKernelRows() {
   std::vector<std::uint64_t>().swap(kernel_words_);
-  std::vector<std::uint16_t>().swap(kernel_patterns_);
 }
 
 std::size_t AssignmentGraph::HeldBytes() const {
   return offsets_.capacity() * sizeof(std::uint32_t) +
          successors_.capacity() * sizeof(Successor) +
-         kernel_words_.capacity() * sizeof(std::uint64_t) +
-         kernel_patterns_.capacity() * sizeof(std::uint16_t);
+         kernel_words_.capacity() * sizeof(std::uint64_t);
 }
 
 AgState AssignmentGraph::InitialState(NodeId v) const {

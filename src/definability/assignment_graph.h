@@ -143,14 +143,16 @@ class AssignmentGraph {
   // Build() additionally materializes, for every (store_mask, label,
   // pattern), a row-indexed bitset adjacency: row s is the set of successor
   // states of s whose equality pattern is `pattern`, packed as
-  // ⌈|Q|/64⌉ words. The definability BFS then derives a frontier's
-  // successors as word-parallel unions — `part |= row(s)` covers 64 target
-  // states per instruction — instead of pushing successors one at a time.
-  // Rows are stored flat (one contiguous word vector, fixed stride) so the
-  // whole kernel is two allocations, not |masks|·|Σ|·|patterns|·|Q| of them.
+  // ⌈|Q|/64⌉ words. The planned engine's kDense transitions (see
+  // analysis/plan/kernel_dispatch.h) then derive a frontier's successors as
+  // word-parallel unions — `part |= row(s)` covers 64 target states per
+  // instruction — instead of pushing successors one at a time. Rows are
+  // stored flat (one contiguous word vector, fixed stride), one allocation
+  // rather than |masks|·|Σ|·|patterns|·|Q| of them.
   //
   // The kernel is skipped (has_kernel() == false) when its footprint would
-  // exceed kKernelMemoryBudgetBytes; callers fall back to SuccessorsOf.
+  // exceed kKernelMemoryBudgetBytes; the dispatch table then classifies no
+  // transition kDense.
 
   /// Rows materialized at Build time and within the memory budget?
   bool has_kernel() const { return !kernel_words_.empty(); }
@@ -168,15 +170,6 @@ class AssignmentGraph {
                 num_states_ +
             state) *
                kernel_row_words_;
-  }
-
-  /// Bitmask over patterns with at least one successor of `state` under
-  /// (store_mask, label) — lets the BFS skip all-zero kernel rows without
-  /// touching them. Requires has_kernel().
-  std::uint16_t AchievedPatternsAt(std::uint32_t store_mask, LabelId label,
-                                  AgState state) const {
-    return kernel_patterns_[(store_mask * num_labels_ + label) * num_states_ +
-                            state];
   }
 
   /// Upper bound on the flat kernel's size; beyond it Build() leaves the
@@ -200,8 +193,6 @@ class AssignmentGraph {
   std::vector<Successor> successors_;
   /// Flat kernel rows, stride kernel_row_words_, indexed as in KernelRow.
   std::vector<std::uint64_t> kernel_words_;
-  /// Achieved-pattern masks, indexed as in AchievedPatternsAt.
-  std::vector<std::uint16_t> kernel_patterns_;
   std::size_t kernel_row_words_ = 0;
   // Build's budget charges, for ChargeReuse and BuildChargeBytes.
   std::uint64_t adjacency_bytes_ = 0;  ///< offsets plus entries

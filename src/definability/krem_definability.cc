@@ -6,6 +6,8 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -21,11 +23,11 @@ namespace {
 
 GQD_FAILPOINT_DEFINE(fp_krem_arena_grow, "krem.arena.grow");
 
-// The BFS works on macro tuples ⟨Q_1, ..., Q_n⟩ stored as flat word arrays:
-// n consecutive packed state sets of `set_words` words each. Flat storage
-// keeps every interned tuple in one contiguous allocation (cache-friendly
-// hashing/equality) and lets the interner probe by stored hash + index
-// instead of keeping a second copy of the words as a map key.
+// The BFS explores macro tuples ⟨Q_1, ..., Q_n⟩ in one of two layouts — a
+// tuple-store policy: DenseStore keeps n packed state bitsets, SparseStore a
+// sorted (node, state) entry list. Either way a tuple is a span of 64-bit
+// words, so one flat arena and one interner (TupleInterner) serve both, and
+// one search driver (Search) runs over either policy.
 
 inline void OrWords(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t count) {
@@ -44,13 +46,21 @@ std::uint64_t HashTupleWords(const std::uint64_t* words, std::size_t count) {
   return seed;
 }
 
-/// Flat macro-tuple store with an open-addressed interner. Tuple `t`'s
-/// words live at [t·tuple_words, (t+1)·tuple_words); the probe table holds
-/// only (hash, index) — the words are never duplicated into a key.
-class TupleStore {
+/// Flat macro-tuple arena with an open-addressed semantic interner, shared
+/// by both tuple stores. A tuple is a span of words: fixed-width for the
+/// dense store (tuple t at [t·width, (t+1)·width)), variable-width for the
+/// sparse store (sorted entry lists delimited by an offsets array). The
+/// probe table holds only (hash, index) — the words are never duplicated
+/// into a key. Each interned tuple charges the budget its words plus its
+/// bookkeeping: the stored hash and, for variable-width tuples, the offset.
+class TupleInterner {
  public:
-  TupleStore(std::size_t tuple_words, const ResourceBudget* budget)
-      : tuple_words_(tuple_words), slots_(64, 0), budget_(budget) {
+  /// `width` words per tuple, or 0 for variable-width tuples.
+  TupleInterner(std::size_t width, const ResourceBudget* budget)
+      : width_(width), slots_(64, 0), budget_(budget) {
+    if (width_ == 0) {
+      offsets_.push_back(0);
+    }
     if (budget_ != nullptr) {
       budget_->ChargeBytes(
           static_cast<std::int64_t>(slots_.size() * sizeof(std::size_t)));
@@ -64,33 +74,45 @@ class TupleStore {
   /// itself stays consistent — the probe table just stops growing.
   bool fault() const { return fault_; }
 
-  const std::uint64_t* TupleAt(std::size_t index) const {
-    return words_.data() + index * tuple_words_;
+  /// Tuple `index`'s words; invalidated by an inserting Intern.
+  std::span<const std::uint64_t> At(std::size_t index) const {
+    if (width_ != 0) {
+      return {words_.data() + index * width_, width_};
+    }
+    return {words_.data() + offsets_[index],
+            offsets_[index + 1] - offsets_[index]};
   }
 
-  /// Returns the index of the tuple equal to `words`, interning a copy
+  /// Returns the index of the tuple equal to `tuple`, interning a copy
   /// first when absent (*inserted reports which).
-  std::size_t Intern(const std::uint64_t* words, std::uint64_t hash,
+  std::size_t Intern(std::span<const std::uint64_t> tuple, std::uint64_t hash,
                      bool* inserted) {
     std::size_t mask = slots_.size() - 1;
     std::size_t pos = static_cast<std::size_t>(hash) & mask;
     while (slots_[pos] != 0) {
       std::size_t index = slots_[pos] - 1;
-      if (hashes_[index] == hash &&
-          std::memcmp(TupleAt(index), words,
-                      tuple_words_ * sizeof(std::uint64_t)) == 0) {
-        *inserted = false;
-        return index;
+      if (hashes_[index] == hash) {
+        std::span<const std::uint64_t> stored = At(index);
+        if (stored.size() == tuple.size() &&
+            std::memcmp(stored.data(), tuple.data(), tuple.size_bytes()) ==
+                0) {
+          *inserted = false;
+          return index;
+        }
       }
       pos = (pos + 1) & mask;
     }
     std::size_t index = count_++;
-    words_.insert(words_.end(), words, words + tuple_words_);
+    words_.insert(words_.end(), tuple.begin(), tuple.end());
+    if (width_ == 0) {
+      offsets_.push_back(words_.size());
+    }
     hashes_.push_back(hash);
     slots_[pos] = index + 1;
     if (budget_ != nullptr) {
+      std::size_t bookkeeping = width_ == 0 ? 2 : 1;
       budget_->ChargeBytes(static_cast<std::int64_t>(
-          (tuple_words_ + 1) * sizeof(std::uint64_t)));
+          (tuple.size() + bookkeeping) * sizeof(std::uint64_t)));
       budget_->ChargeTuples(1);
     }
     if ((count_ + 1) * 4 > slots_.size() * 3) {
@@ -122,8 +144,9 @@ class TupleStore {
     slots_.swap(bigger);
   }
 
-  std::size_t tuple_words_;
+  std::size_t width_;
   std::vector<std::uint64_t> words_;
+  std::vector<std::size_t> offsets_;  ///< width 0: t spans [off[t], off[t+1])
   std::vector<std::uint64_t> hashes_;
   std::vector<std::size_t> slots_;  ///< index+1, 0 = empty; pow-2 size
   std::size_t count_ = 0;
@@ -132,71 +155,116 @@ class TupleStore {
 };
 
 /// One candidate successor tuple of the current head under one block label:
-/// the condition (minterm subset), the tuple's hash, and its words' offset
-/// into the owning scratch arena.
+/// the condition (minterm subset), the tuple's hash, and its words at
+/// [offset, offset + count) of the owning scratch arena.
 struct Candidate {
   MintermMask condition;
   std::uint64_t hash;
   std::size_t offset;
+  std::size_t count;
 };
 
-/// Reusable per-(store set, letter) workspace. One instance per worker
-/// slot; nothing inside the per-head loops allocates once these warm up.
-struct BlockScratch {
-  std::vector<std::uint64_t> parts;    ///< n × patterns × set_words
-  std::vector<std::uint64_t> stack;    ///< DFS save buffers, one per depth
-  std::vector<std::uint64_t> current;  ///< running union, tuple_words
+/// Pair bookkeeping: solution[j] is the tuple index at which pairs[j] was
+/// first accepted, kUnsolved while it still needs a witness.
+struct PairBook {
+  static constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
+
+  explicit PairBook(std::vector<std::pair<NodeId, NodeId>> all)
+      : pairs(std::move(all)),
+        solution(pairs.size(), kUnsolved),
+        unsolved(pairs.size()) {}
+
+  void Solve(std::size_t j, std::size_t tuple) {
+    if (solution[j] == kUnsolved) {
+      solution[j] = tuple;
+      unsolved--;
+    }
+  }
+
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  std::vector<std::size_t> solution;
+  std::size_t unsolved;
+};
+
+/// The part of a per-(store set, letter) workspace the search reads back:
+/// the emitted candidates, plus the subset-DFS state both stores share.
+/// One instance per worker slot; nothing inside the per-head loops
+/// allocates once these warm up.
+struct ScratchBase {
   std::vector<std::uint8_t> achieved;  ///< patterns achieved by any part
   std::vector<Candidate> candidates;   ///< emitted in canonical order
   std::vector<std::uint64_t> arena;    ///< candidate tuple words
-  std::uint8_t included[16];           ///< reference-engine DFS include path
+  std::uint8_t included[16];           ///< from-scratch DFS include path
   std::size_t included_count = 0;
   bool expired = false;
   std::uint32_t ticks = 0;
-  /// Planned engine only: the word window [begin, end) pattern p's parts
-  /// can occupy (from its TransitionPlan), so the subset-DFS save/OR/
-  /// restore touches only words that can change.
-  std::uint32_t span_begin[16] = {};
-  std::uint32_t span_end[16] = {};
   /// Planned engine only: specialized inner-loop executions by class,
   /// accumulated per search and flushed once (RecordPlanKernelHits).
   std::uint64_t class_hits[kNumKernelClasses] = {};
 };
 
-/// Successor generation for one (store set, letter) block of one head
-/// tuple. Pure function of the head tuple — interning state is never read —
-/// so blocks can fan out across workers and merge back deterministically.
-class SuccessorGenerator {
+struct BlockScratch : ScratchBase {
+  std::vector<std::uint64_t> parts;    ///< n × patterns × set_words
+  std::vector<std::uint64_t> stack;    ///< DFS save buffers, one per depth
+  std::vector<std::uint64_t> current;  ///< running union, tuple_words
+  /// Planned engine only: the word window [begin, end) pattern p's parts
+  /// can occupy (from its TransitionPlan), so the subset-DFS save/OR/
+  /// restore touches only words that can change.
+  std::uint32_t span_begin[16] = {};
+  std::uint32_t span_end[16] = {};
+};
+
+/// The dense tuple store: macro tuples ⟨Q_1, ..., Q_n⟩ as flat word arrays,
+/// n consecutive packed state sets of `set_words` words each. Successor
+/// generation for one (store set, letter) block of one head tuple is a pure
+/// function of the head — interning state is never read — so blocks can
+/// fan out across workers and merge back deterministically.
+class DenseStore {
  public:
-  /// Downgrade chain: planned needs an enabled dispatch table, kernel needs
-  /// the assignment graph's packed rows; anything else runs the reference
-  /// shape. All three compute identical successor bits.
-  static KRemEngine Resolve(KRemEngine requested, const AssignmentGraph& ag,
+  using Scratch = BlockScratch;
+  static constexpr const char* kInitAttr = "tuple_words";
+
+  /// Planned needs an enabled dispatch table; anything else runs the
+  /// reference shape. Both compute identical successor bits.
+  static KRemEngine Resolve(KRemEngine requested,
                             const KernelDispatchTable* table) {
-    if (requested == KRemEngine::kPlanned && table != nullptr &&
-        table->enabled()) {
-      return KRemEngine::kPlanned;
-    }
-    if (requested != KRemEngine::kReference && ag.has_kernel()) {
-      return KRemEngine::kKernel;
-    }
-    return KRemEngine::kReference;
+    return requested == KRemEngine::kPlanned && table != nullptr &&
+                   table->enabled()
+               ? KRemEngine::kPlanned
+               : KRemEngine::kReference;
   }
 
-  SuccessorGenerator(const AssignmentGraph& ag, std::size_t n,
-                     KRemEngine engine, const KernelDispatchTable* table,
-                     const CancelToken* cancel)
-      : ag_(ag),
-        table_(table),
+  DenseStore(const KRemSetup& setup, std::size_t n, KRemEngine engine,
+             const CancelToken* cancel)
+      : ag_(setup.assignment_graph()),
+        table_(setup.dispatch()),
         n_(n),
-        num_patterns_(ag.num_patterns()),
-        set_words_((ag.num_states() + 63) / 64),
+        num_patterns_(ag_.num_patterns()),
+        set_words_((ag_.num_states() + 63) / 64),
         tuple_words_(n * set_words_),
-        engine_(Resolve(engine, ag, table)),
-        cancel_(cancel) {}
+        node_words_((n + 63) / 64),
+        engine_(Resolve(engine, table_)),
+        cancel_(cancel),
+        projections_(n * node_words_) {}
 
-  std::size_t set_words() const { return set_words_; }
-  std::size_t tuple_words() const { return tuple_words_; }
+  /// Words per tuple: the interner's fixed width.
+  std::size_t width() const { return tuple_words_; }
+
+  /// Bytes of one block's scratch, for sizing a parallel batch.
+  std::size_t ScratchBytes() const {
+    return (n_ * num_patterns_ + num_patterns_ * n_ + 1) * set_words_ *
+           sizeof(std::uint64_t);
+  }
+
+  /// Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
+  std::vector<std::uint64_t> InitialTuple() const {
+    std::vector<std::uint64_t> initial(tuple_words_, 0);
+    for (NodeId v = 0; v < n_; v++) {
+      AgState s = ag_.InitialState(v);
+      initial[v * set_words_ + (s >> 6)] |= std::uint64_t{1} << (s & 63);
+    }
+    return initial;
+  }
 
   void InitScratch(BlockScratch* s) const {
     s->parts.assign(n_ * num_patterns_ * set_words_, 0);
@@ -209,25 +277,19 @@ class SuccessorGenerator {
   /// Emits, into `s`, every (condition, successor tuple) of `tuple` under
   /// (store_mask, label), in the canonical subset-DFS order shared by both
   /// engines. Sets s->expired (and stops early) if the token expires.
-  void Generate(const std::uint64_t* tuple, std::uint32_t store_mask,
-                LabelId label, BlockScratch* s) const {
+  void Generate(std::span<const std::uint64_t> tuple_words,
+                std::uint32_t store_mask, LabelId label,
+                BlockScratch* s) const {
+    const std::uint64_t* tuple = tuple_words.data();
     s->candidates.clear();
     s->arena.clear();
     s->achieved.clear();
     s->expired = false;
     std::fill(s->parts.begin(), s->parts.end(), 0);
-    std::uint32_t achieved_mask;
-    switch (engine_) {
-      case KRemEngine::kPlanned:
-        achieved_mask = FillPartsPlanned(tuple, store_mask, label, s);
-        break;
-      case KRemEngine::kKernel:
-        achieved_mask = FillPartsKernel(tuple, store_mask, label, s);
-        break;
-      default:
-        achieved_mask = FillPartsReference(tuple, store_mask, label, s);
-        break;
-    }
+    std::uint32_t achieved_mask =
+        engine_ == KRemEngine::kPlanned
+            ? FillPartsPlanned(tuple, store_mask, label, s)
+            : FillPartsReference(tuple, store_mask, label, s);
     if (s->expired || achieved_mask == 0) {
       return;
     }
@@ -246,11 +308,44 @@ class SuccessorGenerator {
     EnumerateSubsets(0, 0, s);
   }
 
+  /// Safety and acceptance of tuple `index`: every (v', σ) ∈ Q_i must have
+  /// ⟨v_i, v'⟩ ∈ S; a safe tuple accepts ⟨v_p, v_q⟩ iff v_q ∈ nodes(Q_p),
+  /// read off n²-bit node projections.
+  template <typename Rel>
+  void Accept(std::span<const std::uint64_t> tuple, std::size_t index,
+              const Rel& relation, PairBook* book) {
+    std::fill(projections_.begin(), projections_.end(), 0);
+    for (std::size_t i = 0; i < n_; i++) {
+      const std::uint64_t* q = tuple.data() + i * set_words_;
+      for (std::size_t w = 0; w < set_words_; w++) {
+        std::uint64_t bits = q[w];
+        while (bits != 0) {
+          std::size_t s = (w << 6) +
+                          static_cast<std::size_t>(__builtin_ctzll(bits));
+          bits &= bits - 1;
+          NodeId v = ag_.NodeOf(static_cast<AgState>(s));
+          if (!relation.Test(static_cast<NodeId>(i), v)) {
+            return;  // unsafe: this tuple accepts no pair
+          }
+          projections_[i * node_words_ + (v >> 6)] |= std::uint64_t{1}
+                                                      << (v & 63);
+        }
+      }
+    }
+    for (std::size_t j = 0; j < book->pairs.size(); j++) {
+      const auto& [p, q] = book->pairs[j];
+      if (book->solution[j] == PairBook::kUnsolved &&
+          (projections_[p * node_words_ + (q >> 6)] >> (q & 63)) & 1u) {
+        book->Solve(j, index);
+      }
+    }
+  }
+
  private:
   /// Specialized per-transition kernels: one TransitionPlan per pattern
   /// picks the inner loop, and every loop scans only Q ∧ source-mask over
   /// the plan's source word span. Produces bit-identical parts and achieved
-  /// mask to the other engines — p is achieved iff some state of some Q_i
+  /// mask to the reference engine — p is achieved iff some state of some Q_i
   /// has a pattern-p edge, i.e. iff Q_i intersects the source mask.
   std::uint32_t FillPartsPlanned(const std::uint64_t* tuple,
                                  std::uint32_t store_mask, LabelId label,
@@ -348,41 +443,6 @@ class SuccessorGenerator {
     return achieved_mask;
   }
 
-  /// Word-parallel kernel: for each source state of each Q_i, OR the
-  /// pre-packed 64-states-at-a-time successor rows into the pattern parts.
-  std::uint32_t FillPartsKernel(const std::uint64_t* tuple,
-                                std::uint32_t store_mask, LabelId label,
-                                BlockScratch* s) const {
-    assert(ag_.kernel_row_words() == set_words_);
-    std::uint32_t achieved_mask = 0;
-    for (std::size_t i = 0; i < n_; i++) {
-      const std::uint64_t* q = tuple + i * set_words_;
-      std::uint64_t* parts_i = s->parts.data() + i * num_patterns_ * set_words_;
-      for (std::size_t w = 0; w < set_words_; w++) {
-        std::uint64_t bits = q[w];
-        while (bits != 0) {
-          AgState state = static_cast<AgState>(
-              (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits)));
-          bits &= bits - 1;
-          if (GQD_CANCEL_STRIDE_CHECK(cancel_, s->ticks)) {
-            s->expired = true;
-            return achieved_mask;
-          }
-          std::uint32_t pats = ag_.AchievedPatternsAt(store_mask, label, state);
-          achieved_mask |= pats;
-          while (pats != 0) {
-            std::uint32_t p =
-                static_cast<std::uint32_t>(__builtin_ctz(pats));
-            pats &= pats - 1;
-            OrWords(parts_i + p * set_words_,
-                    ag_.KernelRow(store_mask, label, p, state), set_words_);
-          }
-        }
-      }
-    }
-    return achieved_mask;
-  }
-
   /// Reference shape: walk the successor lists one edge at a time.
   std::uint32_t FillPartsReference(const std::uint64_t* tuple,
                                    std::uint32_t store_mask, LabelId label,
@@ -415,12 +475,13 @@ class SuccessorGenerator {
   }
 
   /// Enumerates the non-empty subsets of s->achieved in exclude-first DFS
-  /// order — the canonical order both engines share. The kernel engine
-  /// maintains the running union incrementally: entering the include branch
-  /// costs one OR pass from the parent subset, and the parent's value is
-  /// saved to a per-depth buffer and rolled back afterwards (the Gray-code
-  /// style walk of the subset lattice; no allocation, no recompute). The
-  /// reference engine rebuilds each leaf's union from its included parts.
+  /// order — the canonical order both engines (and both stores) share. The
+  /// planned engine maintains the running union incrementally: entering the
+  /// include branch costs one OR pass from the parent subset over the
+  /// pattern's target word window, and the parent's value is saved to a
+  /// per-depth buffer and rolled back afterwards (the Gray-code style walk
+  /// of the subset lattice; no allocation, no recompute). The reference
+  /// engine rebuilds each leaf's union from its included parts.
   void EnumerateSubsets(std::size_t depth, MintermMask condition,
                         BlockScratch* s) const {
     if (s->expired) {
@@ -435,10 +496,8 @@ class SuccessorGenerator {
     EnumerateSubsets(depth + 1, condition, s);  // exclude achieved[depth]
     std::uint8_t pattern = s->achieved[depth];
     if (engine_ == KRemEngine::kPlanned) {
-      // Same incremental union as the kernel branch, but the save/OR/
-      // restore is clipped to the word window pattern's parts can occupy
-      // (the plan's target span): words outside it never change, so
-      // restoring only the window restores the whole union.
+      // Words outside the plan's target span never change, so restoring
+      // only the window restores the whole union.
       std::uint32_t begin = s->span_begin[pattern];
       std::size_t span = s->span_end[pattern] - begin;
       std::uint64_t* save = s->stack.data() + depth * tuple_words_;
@@ -458,19 +517,6 @@ class SuccessorGenerator {
                     save + i * set_words_ + begin,
                     span * sizeof(std::uint64_t));
       }
-    } else if (engine_ == KRemEngine::kKernel) {
-      std::uint64_t* save = s->stack.data() + depth * tuple_words_;
-      std::memcpy(save, s->current.data(),
-                  tuple_words_ * sizeof(std::uint64_t));
-      for (std::size_t i = 0; i < n_; i++) {
-        OrWords(s->current.data() + i * set_words_,
-                s->parts.data() + (i * num_patterns_ + pattern) * set_words_,
-                set_words_);
-      }
-      EnumerateSubsets(depth + 1,
-                       condition | (MintermMask{1} << pattern), s);
-      std::memcpy(s->current.data(), save,
-                  tuple_words_ * sizeof(std::uint64_t));
     } else {
       s->included[s->included_count++] = pattern;
       EnumerateSubsets(depth + 1,
@@ -499,8 +545,9 @@ class SuccessorGenerator {
     }
     std::size_t offset = s->arena.size();
     s->arena.insert(s->arena.end(), s->current.begin(), s->current.end());
-    s->candidates.push_back(Candidate{
-        condition, HashTupleWords(s->current.data(), tuple_words_), offset});
+    s->candidates.push_back(
+        Candidate{condition, HashTupleWords(s->current.data(), tuple_words_),
+                  offset, tuple_words_});
   }
 
   const AssignmentGraph& ag_;
@@ -509,8 +556,10 @@ class SuccessorGenerator {
   std::size_t num_patterns_;
   std::size_t set_words_;
   std::size_t tuple_words_;
+  std::size_t node_words_;
   KRemEngine engine_;
   const CancelToken* cancel_;
+  std::vector<std::uint64_t> projections_;  ///< Accept's n²-bit scratch
 };
 
 // --- Sparse frontier tuple store -------------------------------------------
@@ -521,7 +570,7 @@ class SuccessorGenerator {
 // (node index, state) entries: memory proportional to the states actually
 // live in the frontier. Interning is semantic (two tuples are equal iff
 // their entry *sets* are), the subset DFS runs in the same exclude-first
-// canonical order, and acceptance probes the pair map directly — so
+// canonical order, and acceptance probes the pair list directly — so
 // verdicts, witnesses and tuples_explored are bit-identical to the dense
 // store on any input both can afford.
 
@@ -531,135 +580,66 @@ inline std::uint64_t PackEntry(std::size_t i, AgState state) {
   return (static_cast<std::uint64_t>(i) << 32) | state;
 }
 
-/// Flat arena of sorted entry lists with an open-addressed semantic
-/// interner — the sparse analogue of TupleStore. Shares the
-/// krem.arena.grow failpoint so chaos scenarios cover both stores.
-class SparseTupleStore {
- public:
-  explicit SparseTupleStore(const ResourceBudget* budget)
-      : slots_(64, 0), budget_(budget) {
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(
-          static_cast<std::int64_t>(slots_.size() * sizeof(std::size_t)));
-    }
-  }
-
-  std::size_t size() const { return count_; }
-  bool fault() const { return fault_; }
-
-  const std::uint64_t* EntriesAt(std::size_t index) const {
-    return entries_.data() + offsets_[index];
-  }
-  std::size_t CountAt(std::size_t index) const {
-    return offsets_[index + 1] - offsets_[index];
-  }
-
-  /// Returns the index of the tuple equal to `entries`, interning a copy
-  /// first when absent (*inserted reports which). Pointers returned by
-  /// EntriesAt are invalidated by an inserting call.
-  std::size_t Intern(const std::uint64_t* entries, std::size_t count,
-                     std::uint64_t hash, bool* inserted) {
-    std::size_t mask = slots_.size() - 1;
-    std::size_t pos = static_cast<std::size_t>(hash) & mask;
-    while (slots_[pos] != 0) {
-      std::size_t index = slots_[pos] - 1;
-      if (hashes_[index] == hash && CountAt(index) == count &&
-          std::memcmp(EntriesAt(index), entries,
-                      count * sizeof(std::uint64_t)) == 0) {
-        *inserted = false;
-        return index;
-      }
-      pos = (pos + 1) & mask;
-    }
-    std::size_t index = count_++;
-    entries_.insert(entries_.end(), entries, entries + count);
-    offsets_.push_back(entries_.size());
-    hashes_.push_back(hash);
-    slots_[pos] = index + 1;
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(
-          static_cast<std::int64_t>((count + 2) * sizeof(std::uint64_t)));
-      budget_->ChargeTuples(1);
-    }
-    if ((count_ + 1) * 4 > slots_.size() * 3) {
-      Grow();
-    }
-    *inserted = true;
-    return index;
-  }
-
- private:
-  void Grow() {
-    if (GQD_FAILPOINT_FIRED(fp_krem_arena_grow)) {
-      fault_ = true;
-      return;
-    }
-    std::vector<std::size_t> bigger(slots_.size() * 2, 0);
-    if (budget_ != nullptr) {
-      budget_->ChargeBytes(static_cast<std::int64_t>(
-          (bigger.size() - slots_.size()) * sizeof(std::size_t)));
-    }
-    std::size_t mask = bigger.size() - 1;
-    for (std::size_t index = 0; index < count_; index++) {
-      std::size_t pos = static_cast<std::size_t>(hashes_[index]) & mask;
-      while (bigger[pos] != 0) {
-        pos = (pos + 1) & mask;
-      }
-      bigger[pos] = index + 1;
-    }
-    slots_.swap(bigger);
-  }
-
-  std::vector<std::uint64_t> entries_;
-  std::vector<std::size_t> offsets_{0};  ///< tuple t spans [off[t], off[t+1])
-  std::vector<std::uint64_t> hashes_;
-  std::vector<std::size_t> slots_;  ///< index+1, 0 = empty; pow-2 size
-  std::size_t count_ = 0;
-  const ResourceBudget* budget_;
-  bool fault_ = false;
-};
-
-/// One candidate successor of the current head under one block label, its
-/// entries stored at [offset, offset+count) of the scratch arena.
-struct SparseCandidate {
-  MintermMask condition;
-  std::uint64_t hash;
-  std::size_t offset;
-  std::size_t count;
-};
-
-/// Reusable workspace for sparse successor generation; nothing inside the
-/// per-head loops allocates once the vectors warm up.
-struct SparseBlockScratch {
+struct SparseBlockScratch : ScratchBase {
   std::vector<std::vector<std::uint64_t>> parts;  ///< per pattern, sorted
-  std::vector<std::uint8_t> achieved;  ///< patterns with non-empty parts
-  std::vector<std::uint64_t> merged;   ///< Emit's union buffer
-  std::vector<SparseCandidate> candidates;  ///< emitted in canonical order
-  std::vector<std::uint64_t> arena;         ///< candidate tuple entries
-  std::uint8_t included[16];                ///< DFS include path
-  std::size_t included_count = 0;
-  bool expired = false;
-  std::uint32_t ticks = 0;
+  std::vector<std::uint64_t> merged;              ///< Emit's union buffer
 };
 
-/// Sparse successor generation for one (store set, letter) block: walk
-/// SuccessorsOf for every live entry (the reference shape), bucket by
-/// pattern, then enumerate condition subsets in the same exclude-first DFS
-/// order as SuccessorGenerator.
-class SparseSuccessorGenerator {
+/// The sparse frontier store: successor generation walks SuccessorsOf for
+/// every live entry (the reference shape), buckets by pattern, then
+/// enumerates condition subsets in the same exclude-first DFS order as
+/// DenseStore. Acceptance streams over the entry list and finds each
+/// (v_i, v') in the row-major pair list by row offset plus binary search.
+class SparseStore {
  public:
-  SparseSuccessorGenerator(const AssignmentGraph& ag,
-                           const CancelToken* cancel)
-      : ag_(ag), num_patterns_(ag.num_patterns()), cancel_(cancel) {}
+  using Scratch = SparseBlockScratch;
+  static constexpr const char* kInitAttr = "entries";
+
+  /// Pairs() is row-major, so pairs[row_begin[p], row_begin[p + 1]) is row
+  /// p with its targets ascending.
+  SparseStore(const AssignmentGraph& ag, std::size_t n, const PairBook& book,
+              const CancelToken* cancel)
+      : ag_(ag),
+        n_(n),
+        num_patterns_(ag.num_patterns()),
+        cancel_(cancel),
+        row_begin_(n + 1, 0) {
+    for (const auto& [p, q] : book.pairs) {
+      row_begin_[p + 1]++;
+    }
+    for (std::size_t p = 0; p < n; p++) {
+      row_begin_[p + 1] += row_begin_[p];
+    }
+  }
+
+  /// Entry lists vary in length: the interner keeps offsets.
+  std::size_t width() const { return 0; }
+
+  /// Sparse scratch grows with the live frontier, so it has no fixed
+  /// per-block size; the sparse search runs sequentially and never sizes a
+  /// parallel batch.
+  std::size_t ScratchBytes() const { return 0; }
+
+  /// Q_i = {(v_i, ⊥^k)}. Node indices increase, so the entry list is born
+  /// sorted.
+  std::vector<std::uint64_t> InitialTuple() const {
+    std::vector<std::uint64_t> initial;
+    initial.reserve(n_);
+    for (NodeId v = 0; v < n_; v++) {
+      initial.push_back(PackEntry(v, ag_.InitialState(v)));
+    }
+    return initial;
+  }
 
   void InitScratch(SparseBlockScratch* s) const {
     s->parts.resize(num_patterns_);
     s->candidates.reserve(16);
   }
 
-  void Generate(const std::uint64_t* entries, std::size_t count,
-                std::uint32_t store_mask, LabelId label,
-                SparseBlockScratch* s) const {
+  void Generate(std::span<const std::uint64_t> tuple, std::uint32_t store_mask,
+                LabelId label, SparseBlockScratch* s) const {
+    const std::uint64_t* entries = tuple.data();
+    std::size_t count = tuple.size();
     s->candidates.clear();
     s->arena.clear();
     s->achieved.clear();
@@ -696,6 +676,32 @@ class SparseSuccessorGenerator {
     }
     s->included_count = 0;
     EnumerateSubsets(0, 0, s);
+  }
+
+  /// Safety and acceptance in one streaming pass over the entry list: every
+  /// (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple then solves each
+  /// ⟨v_i, v'⟩ it contains.
+  template <typename Rel>
+  void Accept(std::span<const std::uint64_t> entries, std::size_t index,
+              const Rel& relation, PairBook* book) const {
+    for (std::uint64_t entry : entries) {
+      NodeId i = static_cast<NodeId>(entry >> 32);
+      NodeId v = ag_.NodeOf(static_cast<AgState>(entry));
+      if (!relation.Test(i, v)) {
+        return;  // unsafe: this tuple accepts no pair
+      }
+    }
+    for (std::size_t e = 0; e < entries.size() && book->unsolved > 0; e++) {
+      NodeId i = static_cast<NodeId>(entries[e] >> 32);
+      NodeId v = ag_.NodeOf(static_cast<AgState>(entries[e]));
+      auto row_end = book->pairs.begin() + row_begin_[i + 1];
+      auto it = std::lower_bound(book->pairs.begin() + row_begin_[i],
+                                 row_end, std::make_pair(i, v));
+      if (it != row_end && it->second == v) {
+        book->Solve(static_cast<std::size_t>(it - book->pairs.begin()),
+                    index);
+      }
+    }
   }
 
  private:
@@ -739,29 +745,29 @@ class SparseSuccessorGenerator {
     }
     std::size_t offset = s->arena.size();
     s->arena.insert(s->arena.end(), merged->begin(), merged->end());
-    s->candidates.push_back(SparseCandidate{
-        condition, HashTupleWords(merged->data(), merged->size()), offset,
-        merged->size()});
+    s->candidates.push_back(
+        Candidate{condition, HashTupleWords(merged->data(), merged->size()),
+                  offset, merged->size()});
   }
 
   const AssignmentGraph& ag_;
+  std::size_t n_;
   std::size_t num_patterns_;
   const CancelToken* cancel_;
+  std::vector<std::size_t> row_begin_;
 };
 
 /// One witness per pair, in Pairs() order: pair j's blocks are the path from
-/// the initial tuple to its solution tuple pair_solution[j] along parent
-/// links. Each distinct solution tuple's path is walked once.
-std::vector<KRemWitness> Witnesses(
-    const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    const std::vector<std::size_t>& pair_solution,
-    const std::vector<std::size_t>& parent,
-    const std::vector<BasicRemBlock>& incoming) {
+/// the initial tuple to its solution tuple along parent links. Each
+/// distinct solution tuple's path is walked once.
+std::vector<KRemWitness> Witnesses(const PairBook& book,
+                                   const std::vector<std::size_t>& parent,
+                                   const std::vector<BasicRemBlock>& incoming) {
   std::unordered_map<std::size_t, std::vector<BasicRemBlock>> paths;
   std::vector<KRemWitness> witnesses;
-  witnesses.reserve(pairs.size());
-  for (std::size_t j = 0; j < pairs.size(); j++) {
-    std::size_t index = pair_solution[j];
+  witnesses.reserve(book.pairs.size());
+  for (std::size_t j = 0; j < book.pairs.size(); j++) {
+    std::size_t index = book.solution[j];
     auto [path, walked] = paths.try_emplace(index);
     if (walked) {
       for (std::size_t at = index; at != 0; at = parent[at]) {
@@ -770,89 +776,53 @@ std::vector<KRemWitness> Witnesses(
       std::reverse(path->second.begin(), path->second.end());
     }
     witnesses.push_back(
-        KRemWitness{pairs[j].first, pairs[j].second, path->second});
+        KRemWitness{book.pairs[j].first, book.pairs[j].second, path->second});
   }
   return witnesses;
 }
 
-/// The dense-tuple BFS — the historical implementation, generic over the
-/// relation representation: only num_nodes(), Pairs() and Test() are used,
-/// so any AdaptiveRelation backend drives it without densification.
-template <typename Rel>
-Result<KRemDefinabilityResult> CheckKRemDense(
-    const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
-    const KRemDefinabilityOptions& options) {
+/// Successor-generation workers for a search that asked for `requested`:
+/// at most the hardware's concurrency, but never fewer than two, so a
+/// parallel request stays parallel on a one-core machine. Results are
+/// bit-identical at every thread count, so the clamp never changes one.
+std::size_t ClampThreads(std::size_t requested) {
+  std::size_t cap =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 2);
+  return std::min(requested, cap);
+}
+
+/// The k-REM BFS over the macro tuples of Lemma 21, generic over the tuple
+/// store (DenseStore or SparseStore) and the relation representation: only
+/// Test() and the PairBook's Pairs() are used, so any AdaptiveRelation
+/// backend drives it without densification. Heads are expanded in
+/// interning order, blocks in (store set, letter) order and candidates in
+/// subset-DFS order, so both stores and every `num_threads` produce the
+/// same verdict, witnesses and tuples_explored.
+template <typename Store, typename Rel>
+Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
+                                      const Rel& relation, PairBook* book,
+                                      const KRemDefinabilityOptions& options,
+                                      std::size_t num_threads) {
+  using Scratch = typename Store::Scratch;
   KRemDefinabilityResult result;
-  std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
-  const AssignmentGraph& ag = setup.assignment_graph();
-  std::size_t n = graph.NumNodes();
 
-  // The query-plan dispatch table is part of the setup when the planned
-  // engine is requested; a disabled table downgrades to kKernel.
-  SuccessorGenerator generator(ag, n, options.engine, setup.dispatch(),
-                               options.cancel);
-  std::size_t set_words = generator.set_words();
-  std::size_t tuple_words = generator.tuple_words();
-
-  // BFS bookkeeping: flat tuple storage + interner, parent links, and the
-  // incoming block of each tuple for witness reconstruction.
-  TupleStore tuples(tuple_words, options.budget);
+  // BFS bookkeeping: the tuple interner, parent links, and the incoming
+  // block of each tuple for witness reconstruction.
+  TupleInterner tuples(store->width(), options.budget);
   std::vector<std::size_t> parent;
   std::vector<BasicRemBlock> incoming;
-
-  // Pair bookkeeping: pair_solution[j] is the tuple index at which pairs[j]
-  // was first accepted, kUnsolved while it still needs a witness.
-  constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> pair_solution(pairs.size(), kUnsolved);
-  std::size_t unsolved = pairs.size();
-
-  // Safety and acceptance of one tuple: every (v', σ) ∈ Q_i must have
-  // ⟨v_i, v'⟩ ∈ S; a safe tuple accepts ⟨v_p, v_q⟩ iff v_q ∈ nodes(Q_p).
-  std::size_t node_words = (n + 63) / 64;
-  std::vector<std::uint64_t> projections(n * node_words);
   auto process_tuple = [&](std::size_t index) {
-    const std::uint64_t* tuple = tuples.TupleAt(index);
-    std::fill(projections.begin(), projections.end(), 0);
-    for (std::size_t i = 0; i < n; i++) {
-      const std::uint64_t* q = tuple + i * set_words;
-      for (std::size_t w = 0; w < set_words; w++) {
-        std::uint64_t bits = q[w];
-        while (bits != 0) {
-          std::size_t s = (w << 6) +
-                          static_cast<std::size_t>(__builtin_ctzll(bits));
-          bits &= bits - 1;
-          NodeId v = ag.NodeOf(static_cast<AgState>(s));
-          if (!relation.Test(static_cast<NodeId>(i), v)) {
-            return;  // unsafe: this tuple accepts no pair
-          }
-          projections[i * node_words + (v >> 6)] |= std::uint64_t{1}
-                                                    << (v & 63);
-        }
-      }
-    }
-    for (std::size_t j = 0; j < pairs.size(); j++) {
-      const auto& [p, q] = pairs[j];
-      if (pair_solution[j] == kUnsolved &&
-          (projections[p * node_words + (q >> 6)] >> (q & 63)) & 1u) {
-        pair_solution[j] = index;
-        unsolved--;
-      }
-    }
+    store->Accept(tuples.At(index), index, relation, book);
   };
 
-  // Initial tuple: Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
   {
     GQD_TRACE_SPAN(span, "krem.arena_init");
-    GQD_TRACE_SPAN_ATTR(span, "tuple_words", tuple_words);
-    std::vector<std::uint64_t> initial(tuple_words, 0);
-    for (NodeId v = 0; v < n; v++) {
-      AgState s = ag.InitialState(v);
-      initial[v * set_words + (s >> 6)] |= std::uint64_t{1} << (s & 63);
-    }
+    std::vector<std::uint64_t> initial = store->InitialTuple();
+    GQD_TRACE_SPAN_ATTR(span, Store::kInitAttr, initial.size());
     bool inserted = false;
-    tuples.Intern(initial.data(),
-                  HashTupleWords(initial.data(), tuple_words), &inserted);
-    parent.push_back(kUnsolved);
+    tuples.Intern(initial, HashTupleWords(initial.data(), initial.size()),
+                  &inserted);
+    parent.push_back(PairBook::kUnsolved);
     incoming.push_back(BasicRemBlock{});
     process_tuple(0);
   }
@@ -868,16 +838,13 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   // within a fixed budget.
   std::size_t num_blocks = ag.num_store_masks() * ag.num_labels();
   std::optional<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool.emplace(options.num_threads);
+  if (std::size_t threads = ClampThreads(num_threads); threads > 1) {
+    pool.emplace(threads);
   }
   std::size_t batch_heads = 1;
   if (pool.has_value()) {
     constexpr std::size_t kBatchScratchBudgetBytes = std::size_t{256} << 20;
-    std::size_t per_head_bytes =
-        num_blocks *
-        (n * ag.num_patterns() + ag.num_patterns() * n + 1) * set_words *
-        sizeof(std::uint64_t);
+    std::size_t per_head_bytes = num_blocks * store->ScratchBytes();
     std::size_t memory_cap =
         kBatchScratchBudgetBytes / (per_head_bytes == 0 ? 1 : per_head_bytes);
     batch_heads = std::min<std::size_t>(
@@ -887,20 +854,20 @@ Result<KRemDefinabilityResult> CheckKRemDense(
       batch_heads = 1;
     }
   }
-  std::vector<BlockScratch> scratch(pool.has_value() ? batch_heads * num_blocks
-                                                     : 1);
-  for (BlockScratch& s : scratch) {
-    generator.InitScratch(&s);
+  std::vector<Scratch> scratch(pool.has_value() ? batch_heads * num_blocks
+                                                : 1);
+  for (Scratch& s : scratch) {
+    store->InitScratch(&s);
   }
 
   // Flush the planned engine's per-scratch kernel-class hit counters into
   // the global plan metrics exactly once, on every exit path.
   struct KernelHitsFlusher {
-    const std::vector<BlockScratch>* scratch;
+    const std::vector<Scratch>* scratch;
     ~KernelHitsFlusher() {
       std::uint64_t hits[kNumKernelClasses] = {};
       bool any = false;
-      for (const BlockScratch& s : *scratch) {
+      for (const Scratch& s : *scratch) {
         for (std::size_t c = 0; c < kNumKernelClasses; c++) {
           hits[c] += s.class_hits[c];
           any = any || hits[c] != 0;
@@ -916,8 +883,8 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   // Generation never reads interning state, so merge order — blocks in
   // (store_mask, label) order, candidates in DFS order — fully determines
   // the result regardless of thread count.
-  auto merge_block = [&](BlockScratch& s, std::uint32_t mask,
-                         LabelId label, std::size_t head) {
+  auto merge_block = [&](Scratch& s, std::uint32_t mask, LabelId label,
+                         std::size_t head) {
     for (const Candidate& c : s.candidates) {
       if (tuples.fault()) {
         // Injected growth failure: stop interning so the fixed-size probe
@@ -925,13 +892,13 @@ Result<KRemDefinabilityResult> CheckKRemDense(
         return;
       }
       bool inserted = false;
-      std::size_t index =
-          tuples.Intern(s.arena.data() + c.offset, c.hash, &inserted);
+      std::size_t index = tuples.Intern(
+          {s.arena.data() + c.offset, c.count}, c.hash, &inserted);
       if (inserted) {
         parent.push_back(head);
         incoming.push_back(BasicRemBlock{mask, label, c.condition});
         process_tuple(index);
-        if (unsolved == 0) {
+        if (book->unsolved == 0) {
           return;
         }
       }
@@ -947,19 +914,33 @@ Result<KRemDefinabilityResult> CheckKRemDense(
     }
     return d;
   };
-  // kBudgetExhausted with the structured partial-progress report — the
-  // ResourceBudget trip path, as opposed to the legacy max_tuples cap.
-  auto exhausted_result = [&](std::size_t at) {
-    result.verdict = DefinabilityVerdict::kBudgetExhausted;
-    result.tuples_explored = tuples.size();
-    result.partial =
-        PartialProgress{tuples.size(), depth_of(at),
-                        options.budget->bytes_peak(), "krem-bfs"};
-    return result;
-  };
   auto injected_fault = [] {
     return Status::ResourceExhausted(
         "injected tuple-store growth failure (failpoint krem.arena.grow)");
+  };
+  // The checks at every head boundary, in order: an injected growth fault,
+  // a ResourceBudget trip (kBudgetExhausted with the structured
+  // partial-progress report), and the legacy max_tuples cap
+  // (kBudgetExhausted without one). Returns what the search stops with.
+  auto stop_at =
+      [&](std::size_t at) -> std::optional<Result<KRemDefinabilityResult>> {
+    if (tuples.fault()) {
+      return injected_fault();
+    }
+    if (options.budget != nullptr && options.budget->Exhausted()) {
+      result.verdict = DefinabilityVerdict::kBudgetExhausted;
+      result.tuples_explored = tuples.size();
+      result.partial =
+          PartialProgress{tuples.size(), depth_of(at),
+                          options.budget->bytes_peak(), "krem-bfs"};
+      return result;
+    }
+    if (tuples.size() > options.max_tuples) {
+      result.verdict = DefinabilityVerdict::kBudgetExhausted;
+      result.tuples_explored = tuples.size();
+      return result;
+    }
+    return std::nullopt;
   };
 
   // Whole-search span plus one child span per BFS generation (= frontier
@@ -991,23 +972,15 @@ Result<KRemDefinabilityResult> CheckKRemDense(
   };
 
   std::size_t head = 0;
-  while (head < tuples.size() && unsolved > 0) {
-    if (tuples.fault()) {
-      return injected_fault();
-    }
-    if (options.budget != nullptr && options.budget->Exhausted()) {
-      return exhausted_result(head);
-    }
-    if (tuples.size() > options.max_tuples) {
-      result.verdict = DefinabilityVerdict::kBudgetExhausted;
-      result.tuples_explored = tuples.size();
-      return result;
+  while (head < tuples.size() && book->unsolved > 0) {
+    if (auto stop = stop_at(head)) {
+      return std::move(*stop);
     }
     if (pool.has_value()) {
       // Generate every block of up to batch_heads known heads in one
       // parallel round. The store is read-only until all workers finish
-      // (interning happens only in the merge below), so TupleAt pointers
-      // stay valid throughout the round.
+      // (interning happens only in the merge below), so At() spans stay
+      // valid throughout the round.
       std::size_t batch = std::min(batch_heads, tuples.size() - head);
       std::size_t num_workers = std::min(pool->num_threads(), batch);
       std::mutex done_mutex;
@@ -1022,16 +995,16 @@ Result<KRemDefinabilityResult> CheckKRemDense(
         GQD_TRACE_SPAN_ATTR(batch_span, "heads", batch);
         GQD_TRACE_SPAN_ATTR(batch_span, "workers", num_workers);
         for (std::size_t w = 0; w < num_workers; w++) {
-          pool->Submit([&generator, &scratch, &tuples, &done_mutex, &done_cv,
+          pool->Submit([store, &scratch, &tuples, &done_mutex, &done_cv,
                         &remaining, &ag, head, batch, num_workers, num_blocks,
                         tracer, w] {
             Tracer::Scope scope(tracer);
             GQD_TRACE_SPAN(worker_span, "krem.worker_generate");
             GQD_TRACE_SPAN_ATTR(worker_span, "worker", w);
             for (std::size_t b = w; b < batch; b += num_workers) {
-              const std::uint64_t* words = tuples.TupleAt(head + b);
+              std::span<const std::uint64_t> words = tuples.At(head + b);
               for (std::size_t t = 0; t < num_blocks; t++) {
-                generator.Generate(
+                store->Generate(
                     words, static_cast<std::uint32_t>(t / ag.num_labels()),
                     static_cast<LabelId>(t % ag.num_labels()),
                     &scratch[b * num_blocks + t]);
@@ -1052,22 +1025,14 @@ Result<KRemDefinabilityResult> CheckKRemDense(
       if (options.cancel != nullptr && options.cancel->Expired()) {
         return options.cancel->Check();
       }
-      for (std::size_t b = 0; b < batch && unsolved > 0; b++, head++) {
+      for (std::size_t b = 0; b < batch && book->unsolved > 0; b++, head++) {
         advance_generation_span(head);
-        if (tuples.fault()) {
-          return injected_fault();
-        }
-        if (options.budget != nullptr && options.budget->Exhausted()) {
-          return exhausted_result(head);
-        }
-        if (tuples.size() > options.max_tuples) {
-          result.verdict = DefinabilityVerdict::kBudgetExhausted;
-          result.tuples_explored = tuples.size();
-          return result;
+        if (auto stop = stop_at(head)) {
+          return std::move(*stop);
         }
         GQD_TRACE_SPAN(merge_span, "krem.merge");
         GQD_TRACE_SPAN_ATTR(merge_span, "head", head);
-        for (std::size_t t = 0; t < num_blocks && unsolved > 0; t++) {
+        for (std::size_t t = 0; t < num_blocks && book->unsolved > 0; t++) {
           merge_block(scratch[b * num_blocks + t],
                       static_cast<std::uint32_t>(t / ag.num_labels()),
                       static_cast<LabelId>(t % ag.num_labels()), head);
@@ -1076,13 +1041,15 @@ Result<KRemDefinabilityResult> CheckKRemDense(
     } else {
       advance_generation_span(head);
       for (std::uint32_t mask = 0;
-           mask < ag.num_store_masks() && unsolved > 0; mask++) {
-        for (LabelId label = 0; label < ag.num_labels() && unsolved > 0;
-             label++) {
+           mask < ag.num_store_masks() && book->unsolved > 0; mask++) {
+        for (LabelId label = 0;
+             label < ag.num_labels() && book->unsolved > 0; label++) {
           if (options.cancel != nullptr && options.cancel->Expired()) {
             return options.cancel->Check();
           }
-          generator.Generate(tuples.TupleAt(head), mask, label, &scratch[0]);
+          // Generate reads the head to completion before the merge interns
+          // anything, so arena growth cannot invalidate it.
+          store->Generate(tuples.At(head), mask, label, &scratch[0]);
           if (scratch[0].expired) {
             return options.cancel->Check();
           }
@@ -1108,221 +1075,13 @@ Result<KRemDefinabilityResult> CheckKRemDense(
     return injected_fault();
   }
   result.tuples_explored = tuples.size();
-  if (unsolved > 0) {
+  if (book->unsolved > 0) {
     result.verdict = DefinabilityVerdict::kNotDefinable;
     return result;
   }
 
   result.verdict = DefinabilityVerdict::kDefinable;
-  result.witnesses = Witnesses(pairs, pair_solution, parent, incoming);
-  return result;
-}
-
-/// The frontier-streaming BFS over the sparse tuple store: same canonical
-/// exploration order and interning semantics as CheckKRemDense, but no
-/// allocation is ever proportional to n² — tuples are sorted entry lists
-/// and acceptance probes the pair map entry by entry instead of building
-/// an n²-bit projection scratch. Sequential by design (the per-block work
-/// is already proportional to the live frontier); `engine` and
-/// `num_threads` are ignored.
-template <typename Rel>
-Result<KRemDefinabilityResult> CheckKRemSparseFrontier(
-    const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
-    const KRemDefinabilityOptions& options) {
-  KRemDefinabilityResult result;
-  std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
-  const AssignmentGraph& ag = setup.assignment_graph();
-  std::size_t n = graph.NumNodes();
-  SparseSuccessorGenerator generator(ag, options.cancel);
-
-  SparseTupleStore tuples(options.budget);
-  std::vector<std::size_t> parent;
-  std::vector<BasicRemBlock> incoming;
-
-  // Pairs() is row-major, so pairs[row_begin[p], row_begin[p + 1]) is row p
-  // with its targets ascending; pair_solution[j] is the tuple solving
-  // pairs[j].
-  constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> row_begin(n + 1, 0);
-  for (const auto& [p, q] : pairs) {
-    row_begin[p + 1]++;
-  }
-  for (std::size_t p = 0; p < n; p++) {
-    row_begin[p + 1] += row_begin[p];
-  }
-  std::vector<std::size_t> pair_solution(pairs.size(), kUnsolved);
-  std::size_t unsolved = pairs.size();
-  auto pair_index = [&](NodeId i, NodeId v) {
-    auto row_end = pairs.begin() + row_begin[i + 1];
-    auto it = std::lower_bound(
-        pairs.begin() + row_begin[i], row_end, std::make_pair(i, v));
-    return it != row_end && it->second == v
-               ? static_cast<std::size_t>(it - pairs.begin())
-               : pairs.size();
-  };
-
-  // Safety and acceptance in one streaming pass over the entry list: every
-  // (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple then marks each
-  // still-unsolved ⟨v_i, v'⟩ it contains directly in pair_solution.
-  auto process_tuple = [&](std::size_t index) {
-    const std::uint64_t* entries = tuples.EntriesAt(index);
-    std::size_t count = tuples.CountAt(index);
-    for (std::size_t e = 0; e < count; e++) {
-      NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = ag.NodeOf(static_cast<AgState>(entries[e]));
-      if (!relation.Test(i, v)) {
-        return;  // unsafe: this tuple accepts no pair
-      }
-    }
-    for (std::size_t e = 0; e < count && unsolved > 0; e++) {
-      NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = ag.NodeOf(static_cast<AgState>(entries[e]));
-      std::size_t j = pair_index(i, v);
-      if (j < pairs.size() && pair_solution[j] == kUnsolved) {
-        pair_solution[j] = index;
-        unsolved--;
-      }
-    }
-  };
-
-  // Initial tuple: Q_i = {(v_i, ⊥^k)}. Node indices increase, so the entry
-  // list is born sorted.
-  {
-    GQD_TRACE_SPAN(span, "krem.arena_init");
-    GQD_TRACE_SPAN_ATTR(span, "entries", n);
-    std::vector<std::uint64_t> initial;
-    initial.reserve(n);
-    for (NodeId v = 0; v < n; v++) {
-      initial.push_back(PackEntry(v, ag.InitialState(v)));
-    }
-    bool inserted = false;
-    tuples.Intern(initial.data(), initial.size(),
-                  HashTupleWords(initial.data(), initial.size()), &inserted);
-    parent.push_back(kUnsolved);
-    incoming.push_back(BasicRemBlock{});
-    process_tuple(0);
-  }
-
-  SparseBlockScratch scratch;
-  generator.InitScratch(&scratch);
-
-  auto merge_block = [&](std::uint32_t mask, LabelId label,
-                         std::size_t head) {
-    for (const SparseCandidate& c : scratch.candidates) {
-      if (tuples.fault()) {
-        return;
-      }
-      bool inserted = false;
-      std::size_t index = tuples.Intern(scratch.arena.data() + c.offset,
-                                        c.count, c.hash, &inserted);
-      if (inserted) {
-        parent.push_back(head);
-        incoming.push_back(BasicRemBlock{mask, label, c.condition});
-        process_tuple(index);
-        if (unsolved == 0) {
-          return;
-        }
-      }
-    }
-  };
-
-  auto depth_of = [&](std::size_t index) {
-    std::size_t d = 0;
-    for (std::size_t at = index; at != 0; at = parent[at]) {
-      d++;
-    }
-    return d;
-  };
-  auto exhausted_result = [&](std::size_t at) {
-    result.verdict = DefinabilityVerdict::kBudgetExhausted;
-    result.tuples_explored = tuples.size();
-    result.partial =
-        PartialProgress{tuples.size(), depth_of(at),
-                        options.budget->bytes_peak(), "krem-bfs"};
-    return result;
-  };
-  auto injected_fault = [] {
-    return Status::ResourceExhausted(
-        "injected tuple-store growth failure (failpoint krem.arena.grow)");
-  };
-
-  std::optional<Span> bfs_span(std::in_place, "krem.bfs");
-  std::size_t bfs_generation = 0;
-  std::size_t generation_end = tuples.size();
-  std::optional<Span> gen_span;
-  auto advance_generation_span = [&](std::size_t at_head) {
-    if (Tracer::Current() == nullptr) {
-      return;
-    }
-    if (gen_span.has_value() && at_head < generation_end) {
-      return;
-    }
-    if (gen_span.has_value()) {
-      gen_span->AddAttr("tuples", tuples.size());
-      gen_span.reset();
-      bfs_generation++;
-      generation_end = tuples.size();
-    }
-    gen_span.emplace("krem.bfs_generation");
-    gen_span->AddAttr("generation", bfs_generation);
-  };
-
-  std::size_t head = 0;
-  while (head < tuples.size() && unsolved > 0) {
-    if (tuples.fault()) {
-      return injected_fault();
-    }
-    if (options.budget != nullptr && options.budget->Exhausted()) {
-      return exhausted_result(head);
-    }
-    if (tuples.size() > options.max_tuples) {
-      result.verdict = DefinabilityVerdict::kBudgetExhausted;
-      result.tuples_explored = tuples.size();
-      return result;
-    }
-    advance_generation_span(head);
-    for (std::uint32_t mask = 0;
-         mask < ag.num_store_masks() && unsolved > 0; mask++) {
-      for (LabelId label = 0; label < ag.num_labels() && unsolved > 0;
-           label++) {
-        if (options.cancel != nullptr && options.cancel->Expired()) {
-          return options.cancel->Check();
-        }
-        // Generate reads the head's entries to completion before the merge
-        // interns anything, so arena growth cannot invalidate them.
-        generator.Generate(tuples.EntriesAt(head), tuples.CountAt(head),
-                           mask, label, &scratch);
-        if (scratch.expired) {
-          return options.cancel->Check();
-        }
-        merge_block(mask, label, head);
-      }
-    }
-    head++;
-  }
-
-  if (gen_span.has_value()) {
-    gen_span->AddAttr("tuples", tuples.size());
-    gen_span.reset();
-  }
-  bfs_span->AddAttr("tuples_explored", tuples.size());
-  bfs_span->AddAttr("frontier_depth", bfs_generation);
-  if (options.budget != nullptr) {
-    bfs_span->AddAttr("bytes_peak", options.budget->bytes_peak());
-  }
-  bfs_span.reset();
-
-  if (tuples.fault()) {
-    return injected_fault();
-  }
-  result.tuples_explored = tuples.size();
-  if (unsolved > 0) {
-    result.verdict = DefinabilityVerdict::kNotDefinable;
-    return result;
-  }
-
-  result.verdict = DefinabilityVerdict::kDefinable;
-  result.witnesses = Witnesses(pairs, pair_solution, parent, incoming);
+  result.witnesses = Witnesses(*book, parent, incoming);
   return result;
 }
 
@@ -1343,15 +1102,21 @@ std::size_t DenseTupleFootprintBytes(std::size_t n, std::size_t num_values,
       mul(mul(n, set_words), sizeof(std::uint64_t)));
 }
 
-/// The search half on a built setup: the BFS of its tuple store.
+/// The search half on a built setup: the BFS over its tuple store. The
+/// sparse frontier store runs sequentially.
 template <typename Rel>
 Result<KRemDefinabilityResult> SearchWithSetup(
     const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options) {
+  PairBook book(relation.Pairs());
+  const AssignmentGraph& ag = setup.assignment_graph();
+  std::size_t n = graph.NumNodes();
   if (setup.tuple_store() == KRemTupleStore::kDense) {
-    return CheckKRemDense(setup, graph, relation, options);
+    DenseStore store(setup, n, options.engine, options.cancel);
+    return Search(ag, &store, relation, &book, options, options.num_threads);
   }
-  return CheckKRemSparseFrontier(setup, graph, relation, options);
+  SparseStore store(ag, n, book, options.cancel);
+  return Search(ag, &store, relation, &book, options, 1);
 }
 
 template <typename Rel>

@@ -44,20 +44,19 @@ struct KRemWitness {
   std::vector<BasicRemBlock> blocks;
 };
 
-/// Which successor machinery the BFS runs on. All engines explore tuples
-/// in the same canonical order and compute the same successor bits, so
-/// verdicts, witnesses and tuples_explored are identical at every thread
-/// count — the reference engine exists as a differential-testing oracle
-/// for the faster paths (see tests/test_definability_diff).
+/// Which successor machinery the dense tuple store runs on. Both engines
+/// explore tuples in the same canonical order and compute the same
+/// successor bits, so verdicts, witnesses and tuples_explored are identical
+/// at every thread count — the reference engine exists as a
+/// differential-testing oracle for the planned one (see
+/// tests/test_definability_diff).
 enum class KRemEngine {
   /// Specialized per-transition kernels picked by the query-plan static
   /// analyzer (analysis/plan/kernel_dispatch.h): identity, single-bit,
   /// CSR-sparse or dense inner loops clipped to the word spans each
-  /// transition can touch. Downgrades to kKernel (then kReference) when
-  /// the dispatch table declines to build. The default.
+  /// transition can touch. Runs the reference walk when the dispatch table
+  /// declines to build. The default.
   kPlanned,
-  /// Word-parallel kernel rows + incremental subset unions.
-  kKernel,
   /// Straightforward per-successor derivation with from-scratch subset
   /// unions — the shape of the original implementation, kept as an oracle.
   kReference,
@@ -95,7 +94,9 @@ struct KRemDefinabilityOptions {
   /// independent (store set, letter) blocks of the current tuple fan out
   /// across a shared ThreadPool; results merge back in canonical block
   /// order, so verdicts, witnesses and tuples_explored are bit-identical
-  /// for every thread count. 0 or 1 means sequential.
+  /// for every thread count. 0 or 1 means sequential; more than the
+  /// hardware's concurrency is clamped to it (but never below 2). The
+  /// sparse frontier store always runs sequentially.
   std::size_t num_threads = 1;
   /// Successor machinery; kPlanned unless you are cross-checking. Ignored
   /// by the sparse frontier tuple store (reference-shape walk).

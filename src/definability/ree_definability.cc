@@ -514,7 +514,7 @@ ReeRepresentation RepresentationFor(const DataGraph& graph,
   if (graph.NumNodes() <= 8 && graph.NumNodes() > 0) {
     return ReeRepresentation::kPacked;
   }
-  if (engine == ReeEngine::kPlanned && InjectiveValues(graph)) {
+  if (InjectiveValues(graph)) {
     return ReeRepresentation::kDiagonal;
   }
   return ReeRepresentation::kDense;

@@ -41,20 +41,18 @@
 
 namespace gqd {
 
-/// Which relation machinery the level closure runs on. All engines
+/// Which relation machinery the level closure runs on. Both engines
 /// enumerate the monoid in the same order and compute the same relations,
 /// so verdicts, levels_used, monoid_size and the synthesized expression
 /// are identical — the reference engine exists as a differential-testing
-/// oracle for the faster paths (see tests/test_definability_diff).
+/// oracle for the planned one (see tests/test_definability_diff).
 enum class ReeEngine {
-  /// kKernel plus the query-plan analyzer's diagonal specialization: when
-  /// every value class is a single node (ρ injective), S= degenerates to
-  /// row_u ∧ {u} and S≠ to clearing bit u — no class masks touched. Falls
-  /// back to kKernel behavior otherwise. The default.
-  kPlanned,
   /// Packed 64-bit relations when n ≤ 8, else word-parallel value-class
-  /// restrictions (ValueClassMasks) over bitset rows.
-  kKernel,
+  /// restrictions (ValueClassMasks) over bitset rows — with the query-plan
+  /// analyzer's diagonal specialization when every value class is a single
+  /// node (ρ injective): S= degenerates to row_u ∧ {u} and S≠ to clearing
+  /// bit u, no class masks touched. The default.
+  kPlanned,
   /// Generic BinaryRelation ops with per-bit =/≠ restriction loops — the
   /// shape of the original implementation, kept as an oracle.
   kReference,

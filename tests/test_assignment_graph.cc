@@ -307,7 +307,6 @@ TEST(AssignmentGraph, CsrRowsMatchDefinition19OnRandomGraphs) {
             if (!ag.has_kernel()) {
               continue;
             }
-            std::uint32_t achieved = 0;
             for (std::uint32_t p = 0; p < ag.num_patterns(); p++) {
               std::vector<AgState> from_row;
               const std::uint64_t* row = ag.KernelRow(mask, a, p, s);
@@ -320,7 +319,6 @@ TEST(AssignmentGraph, CsrRowsMatchDefinition19OnRandomGraphs) {
               for (const auto& [t, pattern] : expected) {
                 if (pattern == p) {
                   from_oracle.push_back(t);
-                  achieved |= 1u << p;
                 }
               }
               from_oracle.erase(
@@ -328,7 +326,6 @@ TEST(AssignmentGraph, CsrRowsMatchDefinition19OnRandomGraphs) {
                   from_oracle.end());
               EXPECT_EQ(from_row, from_oracle) << "kernel pattern " << p;
             }
-            EXPECT_EQ(ag.AchievedPatternsAt(mask, a, s), achieved);
           }
         }
       }

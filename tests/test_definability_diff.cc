@@ -1,16 +1,17 @@
 // Differential tests for the word-parallel successor kernels.
 //
-// The k-REM and REE checkers each keep two engines: the kernel engine
-// (rowized bitset adjacency / packed relations, incremental subset unions)
-// and the reference engine (the shape of the original per-successor,
-// from-scratch implementation). Both explore in the same canonical order,
-// so on every input they must agree not just on the verdict but on the
-// exact exploration cost and the exact synthesized witnesses — which is
-// what these tests pin down over randomized small instances, alongside
-// bit-identical results at every thread count and deadline handling on
-// the frontier-parallel path.
+// The k-REM and REE checkers each keep two engines: the planned engine
+// (dispatch-table specialized kernels / packed, rowized and diagonal
+// relations, incremental subset unions) and the reference engine (the
+// shape of the original per-successor, from-scratch implementation). Both
+// explore in the same canonical order, so on every input they must agree
+// not just on the verdict but on the exact exploration cost and the exact
+// synthesized witnesses — which is what these tests pin down over
+// randomized small instances, alongside bit-identical results at every
+// thread count and deadline handling on the frontier-parallel path.
 
 #include <chrono>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -84,11 +85,11 @@ void ExpectSameKRemResult(const KRemDefinabilityResult& a,
 TEST(KRemDiff, KernelMatchesReferenceOnRandomGraphs) {
   for (std::uint64_t seed = 1; seed <= 24; seed++) {
     RandomCase c = MakeCase(seed);
-    KRemDefinabilityOptions kernel, reference;
-    kernel.max_tuples = reference.max_tuples = 20'000;
-    kernel.engine = KRemEngine::kKernel;
+    KRemDefinabilityOptions planned, reference;
+    planned.max_tuples = reference.max_tuples = 20'000;
+    planned.engine = KRemEngine::kPlanned;
     reference.engine = KRemEngine::kReference;
-    auto a = CheckKRemDefinability(c.graph, c.relation, c.k, kernel);
+    auto a = CheckKRemDefinability(c.graph, c.relation, c.k, planned);
     auto b = CheckKRemDefinability(c.graph, c.relation, c.k, reference);
     ASSERT_TRUE(a.ok()) << "seed " << seed;
     ASSERT_TRUE(b.ok()) << "seed " << seed;
@@ -110,13 +111,16 @@ TEST(KRemDiff, KernelMatchesReferenceOnRandomGraphs) {
 }
 
 TEST(KRemDiff, ThreadCountsProduceIdenticalResults) {
+  // A count far past the hardware's is clamped before any worker or queue
+  // exists, so it neither aborts nor changes the result.
   for (std::uint64_t seed = 1; seed <= 16; seed++) {
     RandomCase c = MakeCase(seed);
     KRemDefinabilityOptions sequential;
     sequential.max_tuples = 20'000;
     auto base = CheckKRemDefinability(c.graph, c.relation, c.k, sequential);
     ASSERT_TRUE(base.ok()) << "seed " << seed;
-    for (std::size_t threads : {2, 4}) {
+    for (std::size_t threads :
+         {std::size_t{2}, std::size_t{4}, SIZE_MAX / 2}) {
       KRemDefinabilityOptions parallel = sequential;
       parallel.num_threads = threads;
       auto r = CheckKRemDefinability(c.graph, c.relation, c.k, parallel);
@@ -232,22 +236,18 @@ TEST(ReeDiff, KernelMatchesReferenceOnBigGraphs) {
 
 TEST(KRemDiff, PlannedMatchesKernelAndReference) {
   // The planned engine (dispatch-table specialized inner loops) computes
-  // the same pattern-part bits as the kernel and reference engines, so all
-  // three must agree on verdicts, witnesses and exploration cost exactly.
+  // the same pattern-part bits as the reference engine, so both must agree
+  // on verdicts, witnesses and exploration cost exactly.
   for (std::uint64_t seed = 1; seed <= 24; seed++) {
     RandomCase c = MakeCase(seed);
-    KRemDefinabilityOptions planned, kernel, reference;
-    planned.max_tuples = kernel.max_tuples = reference.max_tuples = 20'000;
+    KRemDefinabilityOptions planned, reference;
+    planned.max_tuples = reference.max_tuples = 20'000;
     planned.engine = KRemEngine::kPlanned;
-    kernel.engine = KRemEngine::kKernel;
     reference.engine = KRemEngine::kReference;
     auto p = CheckKRemDefinability(c.graph, c.relation, c.k, planned);
-    auto a = CheckKRemDefinability(c.graph, c.relation, c.k, kernel);
     auto b = CheckKRemDefinability(c.graph, c.relation, c.k, reference);
     ASSERT_TRUE(p.ok()) << "seed " << seed;
-    ASSERT_TRUE(a.ok()) << "seed " << seed;
     ASSERT_TRUE(b.ok()) << "seed " << seed;
-    ExpectSameKRemResult(p.value(), a.value(), seed);
     ExpectSameKRemResult(p.value(), b.value(), seed);
   }
 }
@@ -293,29 +293,22 @@ DataGraph DistinctValuesGraph(std::size_t n, std::uint64_t seed) {
 
 TEST(ReeDiff, PlannedDiagonalMatchesKernelAndReference) {
   // n > 8 all-distinct-values graphs take the diagonal Eq/Neq kernels;
-  // the planned engine must agree with kernel and reference bit for bit.
+  // the planned engine must agree with the reference bit for bit.
   // Kept small: the reference oracle is quadratic per monoid element and
   // distinct-value graphs grow the monoid quickly.
   for (std::uint64_t seed = 1; seed <= 4; seed++) {
     DataGraph g = DistinctValuesGraph(9 + seed % 2, seed);
     BinaryRelation s = RandomRelation(g.NumNodes(), 10, seed * 3 + 2);
-    ReeDefinabilityOptions planned, kernel, reference;
-    planned.max_monoid_size = kernel.max_monoid_size =
-        reference.max_monoid_size = 4'000;
+    ReeDefinabilityOptions planned, reference;
+    planned.max_monoid_size = reference.max_monoid_size = 4'000;
     planned.engine = ReeEngine::kPlanned;
-    kernel.engine = ReeEngine::kKernel;
     reference.engine = ReeEngine::kReference;
     auto p = CheckReeDefinability(g, s, planned);
-    auto a = CheckReeDefinability(g, s, kernel);
     auto b = CheckReeDefinability(g, s, reference);
     ASSERT_TRUE(p.ok()) << "seed " << seed;
-    ASSERT_TRUE(a.ok()) << "seed " << seed;
     ASSERT_TRUE(b.ok()) << "seed " << seed;
-    EXPECT_EQ(p.value().verdict, a.value().verdict) << "seed " << seed;
     EXPECT_EQ(p.value().verdict, b.value().verdict) << "seed " << seed;
-    EXPECT_EQ(p.value().levels_used, a.value().levels_used)
-        << "seed " << seed;
-    EXPECT_EQ(p.value().monoid_size, a.value().monoid_size)
+    EXPECT_EQ(p.value().levels_used, b.value().levels_used)
         << "seed " << seed;
     EXPECT_EQ(p.value().monoid_size, b.value().monoid_size)
         << "seed " << seed;
@@ -324,7 +317,7 @@ TEST(ReeDiff, PlannedDiagonalMatchesKernelAndReference) {
 
 TEST(ReeDiff, PlannedFallsBackWhenValuesRepeat) {
   // Repeated data values (ρ not injective) disable the diagonal kernel;
-  // the planned engine must transparently match the kernel path.
+  // the planned engine must transparently match the reference.
   for (std::uint64_t seed = 1; seed <= 6; seed++) {
     DataGraph g = RandomDataGraph({.num_nodes = 10,
                                    .num_labels = 1,
@@ -332,12 +325,12 @@ TEST(ReeDiff, PlannedFallsBackWhenValuesRepeat) {
                                    .edge_percent = 8,
                                    .seed = seed});
     BinaryRelation s = RandomRelation(10, 10, seed * 5 + 3);
-    ReeDefinabilityOptions planned, kernel;
-    planned.max_monoid_size = kernel.max_monoid_size = 20'000;
+    ReeDefinabilityOptions planned, reference;
+    planned.max_monoid_size = reference.max_monoid_size = 20'000;
     planned.engine = ReeEngine::kPlanned;
-    kernel.engine = ReeEngine::kKernel;
+    reference.engine = ReeEngine::kReference;
     auto p = CheckReeDefinability(g, s, planned);
-    auto a = CheckReeDefinability(g, s, kernel);
+    auto a = CheckReeDefinability(g, s, reference);
     ASSERT_TRUE(p.ok()) << "seed " << seed;
     ASSERT_TRUE(a.ok()) << "seed " << seed;
     EXPECT_EQ(p.value().verdict, a.value().verdict) << "seed " << seed;
@@ -558,6 +551,101 @@ TEST(KRemDiff, SparseFrontierMaxTuplesTripsIdentically) {
   EXPECT_EQ(a.value().tuples_explored, b.value().tuples_explored);
 }
 
+/// Where a budgeted k-REM search stops: the verdict, tuples_explored and,
+/// for a ResourceBudget trip, the partial-progress report.
+struct TripPoint {
+  std::uint64_t seed;
+  KRemTupleStore store;
+  const char* axis;  ///< "bytes", "tuples" (ResourceBudget) or "max_tuples"
+  DefinabilityVerdict verdict;
+  std::size_t tuples_explored;
+  bool has_partial;
+  std::uint64_t partial_tuples;
+  std::uint64_t partial_depth;
+  std::uint64_t partial_bytes_peak;
+};
+
+TEST(KRemDiff, BudgetTripPointsArePinnedPerStore) {
+  // Each tuple store charges its own layout to the budget — (words + 1)·8
+  // bytes per dense tuple, (entries + 2)·8 per sparse one, plus the probe
+  // table — so byte trips are store-specific. This pins each store's trip
+  // points for the search alone: the setup is built unbudgeted and the
+  // search runs under a fresh budget, so assignment-graph charges do not
+  // enter them.
+  constexpr std::uint64_t kMaxBytes = 16'384;
+  constexpr std::uint64_t kMaxBudgetTuples = 100;
+  constexpr std::size_t kMaxTuplesCap = 50;
+  constexpr KRemTupleStore kDense = KRemTupleStore::kDense;
+  constexpr KRemTupleStore kSparse = KRemTupleStore::kSparseFrontier;
+  constexpr DefinabilityVerdict kOut = DefinabilityVerdict::kBudgetExhausted;
+  const TripPoint expected[] = {
+      {7, kDense, "bytes", kOut, 222, true, 222, 3, 16528},
+      {7, kDense, "tuples", kOut, 106, true, 106, 2, 7984},
+      {7, kDense, "max_tuples", kOut, 57, false, 0, 0, 0},
+      {7, kSparse, "bytes", kOut, 95, true, 95, 2, 16792},
+      {7, kSparse, "tuples", kOut, 106, true, 106, 2, 19216},
+      {7, kSparse, "max_tuples", kOut, 57, false, 0, 0, 0},
+      {11, kDense, "bytes", kOut, 139, true, 139, 1, 16504},
+      {11, kDense, "tuples", kOut, 103, true, 103, 1, 12760},
+      {11, kDense, "max_tuples", kOut, 61, false, 0, 0, 0},
+      {11, kSparse, "bytes", kOut, 129, true, 129, 1, 19392},
+      {11, kSparse, "tuples", kOut, 103, true, 103, 1, 15480},
+      {11, kSparse, "max_tuples", kOut, 61, false, 0, 0, 0},
+      {17, kDense, "bytes", kOut, 311, true, 311, 2, 16536},
+      {17, kDense, "tuples", kOut, 106, true, 106, 1, 6288},
+      {17, kDense, "max_tuples", kOut, 61, false, 0, 0, 0},
+      {17, kSparse, "bytes", kOut, 268, true, 268, 2, 17472},
+      {17, kSparse, "tuples", kOut, 106, true, 106, 1, 7368},
+      {17, kSparse, "max_tuples", kOut, 61, false, 0, 0, 0},
+  };
+  std::size_t at = 0;
+  for (std::uint64_t seed : {7, 11, 17}) {
+    RandomCase c = MakeCase(seed);
+    AdaptiveRelation relation = AdaptiveRelation::FromDense(c.relation);
+    for (KRemTupleStore store :
+         {KRemTupleStore::kDense, KRemTupleStore::kSparseFrontier}) {
+      KRemDefinabilityOptions options;
+      options.max_tuples = 20'000;
+      options.tuple_store = store;
+      KRemSetup setup = BuildKRemSetup(c.graph, c.k, options).ValueOrDie();
+      for (const char* axis : {"bytes", "tuples", "max_tuples"}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " store " +
+                     std::to_string(static_cast<int>(store)) + " axis " +
+                     axis);
+        std::string_view name = axis;
+        ResourceBudget budget(name == "bytes" ? kMaxBytes : 0,
+                              name == "tuples" ? kMaxBudgetTuples : 0);
+        KRemDefinabilityOptions run = options;
+        if (name == "max_tuples") {
+          run.max_tuples = kMaxTuplesCap;
+        } else {
+          run.budget = &budget;
+        }
+        auto r = CheckKRemDefinability(setup, c.graph, relation, run);
+        ASSERT_TRUE(r.ok()) << r.status();
+        const KRemDefinabilityResult& got = r.value();
+        PartialProgress partial = got.partial.value_or(PartialProgress{});
+        ASSERT_LT(at, std::size(expected));
+        const TripPoint& want = expected[at];
+        ASSERT_EQ(want.seed, seed);
+        ASSERT_EQ(want.store, store);
+        ASSERT_EQ(std::string_view(want.axis), name);
+        EXPECT_EQ(got.verdict, want.verdict);
+        EXPECT_EQ(got.tuples_explored, want.tuples_explored);
+        ASSERT_EQ(got.partial.has_value(), want.has_partial);
+        EXPECT_EQ(partial.tuples_explored, want.partial_tuples);
+        EXPECT_EQ(partial.frontier_depth, want.partial_depth);
+        EXPECT_EQ(partial.bytes_peak, want.partial_bytes_peak);
+        if (got.partial.has_value()) {
+          EXPECT_EQ(partial.stage, "krem-bfs");
+        }
+        at++;
+      }
+    }
+  }
+  EXPECT_EQ(at, std::size(expected));
+}
+
 TEST(RelationBackendDiff, ReeIdenticalAcrossBackends) {
   // The level algorithm's semantic interner makes the blocked-relation run
   // reproduce the dense run exactly: same verdict, levels, monoid size,
@@ -671,7 +759,7 @@ TEST(StorageDiff, KRemVerdictsIdenticalAcrossBackends) {
     auto mapped = MapThroughContainer(c.graph, seed);
     ASSERT_NE(mapped, nullptr);
     for (std::size_t threads : {1, 4}) {
-      for (KRemEngine engine : {KRemEngine::kKernel, KRemEngine::kReference}) {
+      for (KRemEngine engine : {KRemEngine::kPlanned, KRemEngine::kReference}) {
         KRemDefinabilityOptions options;
         options.max_tuples = 20'000;
         options.num_threads = threads;

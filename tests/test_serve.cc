@@ -931,6 +931,30 @@ TEST(CheckSetupReuse, ReloadedNameNeverReusesItsOldSetup) {
   EXPECT_EQ(ree, Handle(&fresh, CheckLine("g", "ree", 0, relation)));
 }
 
+TEST(CheckThreads, HugeThreadCountAnswersLikeOneThread) {
+  // "threads" is only checked for >= 0; a count far past the hardware's is
+  // clamped by the checker, so it must answer exactly like one thread
+  // instead of aborting the worker.
+  DataGraph g = Figure1Graph();
+  std::string relation = WriteRelationText(g, Figure1S2(g));
+  auto line = [&](const std::string& checker, double threads) {
+    auto request = JsonValue::Parse(CheckLine("g", checker, 1, relation))
+                       .ValueOrDie()
+                       .AsObject();
+    request.emplace_back("threads", threads);
+    return JsonValue(std::move(request)).Serialize();
+  };
+  for (const std::string checker : {"rpq", "krem"}) {
+    QueryService one, huge;
+    one.registry().Register("g", Figure1Graph());
+    huge.registry().Register("g", Figure1Graph());
+    std::string expected = Handle(&one, line(checker, 1));
+    EXPECT_NE(expected.find("\"ok\":true"), std::string::npos) << expected;
+    EXPECT_EQ(Handle(&huge, line(checker, 4294967296.0)), expected)
+        << checker;
+  }
+}
+
 TEST(CheckSetupReuse, IdenticalContentUnderTwoNamesSharesSetups) {
   QueryService service;
   DataGraph g = Figure1Graph();

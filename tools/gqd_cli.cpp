@@ -75,15 +75,12 @@ int Usage() {
       "           [--max-bytes N] [--max-tuples N] [--trace-out FILE]\n"
       "  gqd check <graph> <relation> [--language all|rpq|rem|ree|ucrdpq]"
       " [--k N]\n"
-      "            [--threads N] [--engine kernel|reference]"
-      " [--max-tuples N]\n"
-      "            [--max-bytes N] [--relation-backend"
-      " auto|dense|sparse|blocked]\n"
+      "            [--threads N] [--max-tuples N] [--max-bytes N]\n"
+      "            [--relation-backend auto|dense|sparse|blocked]\n"
       "            [--json] [--trace-out FILE]\n"
       "  gqd synth <graph> <relation> --language rpq|rem|ree [--k N]"
       " [--simplify]\n"
-      "            [--threads N] [--engine kernel|reference]"
-      " [--max-bytes N]\n"
+      "            [--threads N] [--max-bytes N]\n"
       "  gqd convert <regex|ree> <expression>\n"
       "  gqd convert graph <in> [<out>] [--validate]\n"
       "  gqd convert relation <graph> <in> <out>\n"
@@ -528,16 +525,6 @@ int CmdCheck(int argc, char** argv) {
   if (threads_flag != nullptr) {
     krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
   }
-  const char* engine_flag = FlagValue(argc, argv, "--engine");
-  if (engine_flag != nullptr) {
-    std::string engine = engine_flag;
-    if (engine == "reference") {
-      krem_options.engine = KRemEngine::kReference;
-      ree_options.engine = ReeEngine::kReference;
-    } else if (engine != "kernel") {
-      return Usage();
-    }
-  }
   const char* max_tuples_flag = FlagValue(argc, argv, "--max-tuples");
   if (max_tuples_flag != nullptr) {
     krem_options.max_tuples = std::strtoul(max_tuples_flag, nullptr, 10);
@@ -647,16 +634,6 @@ int CmdSynth(int argc, char** argv) {
   const char* threads_flag = FlagValue(argc, argv, "--threads");
   if (threads_flag != nullptr) {
     krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  const char* engine_flag = FlagValue(argc, argv, "--engine");
-  if (engine_flag != nullptr) {
-    std::string engine = engine_flag;
-    if (engine == "reference") {
-      krem_options.engine = KRemEngine::kReference;
-      ree_options.engine = ReeEngine::kReference;
-    } else if (engine != "kernel") {
-      return Usage();
-    }
   }
   // Budget governs the definability search inside synthesis; a trip
   // surfaces as verdict budget-exhausted, i.e. "no query synthesized".

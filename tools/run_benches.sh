@@ -161,7 +161,7 @@ for entry in results:
 
 # *_Plan/*_NoPlan pairs are same-workload ablations of the query-plan
 # kernel dispatch; pair them into speedup records (NoPlan is the
-# word-parallel generic engine the planned engine downgrades to).
+# reference walk the planned engine runs when no dispatch table is built).
 plan_dispatch = {}
 by_name = {e["name"]: e for e in results}
 for name, entry in by_name.items():
