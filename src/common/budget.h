@@ -128,6 +128,13 @@ class ResourceBudget {
     return false;
   }
 
+  /// True while the byte axis alone is over its limit: the poll for a
+  /// charge made outside a search loop, which must not trip on the tuple
+  /// or wall axes before the loop's own strided poll would.
+  bool OverByteLimit() const {
+    return max_bytes_ != 0 && bytes_used() > max_bytes_;
+  }
+
   /// OK while within budget, Status::ResourceExhausted (naming the tripped
   /// axis) once over.
   Status Check() const {

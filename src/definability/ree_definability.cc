@@ -99,11 +99,21 @@ struct BlockedRelationOps {
   }
 };
 
+/// The splitmix64 finalizer. The interner probes from the hash's low bits,
+/// which under the identity hash are only the packed matrix's first rows.
+struct SmallRelationHash {
+  std::size_t operator()(std::uint64_t bits) const {
+    bits = (bits ^ (bits >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    bits = (bits ^ (bits >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(bits ^ (bits >> 31));
+  }
+};
+
 /// Policy over packed 64-bit relations (n ≤ 8) — same algorithm, ~10-50×
 /// cheaper per operation (the E9 ablation).
 struct SmallRelationOps {
   using Rel = SmallRelation;
-  using Hash = std::hash<std::uint64_t>;
+  using Hash = SmallRelationHash;
 
   const SmallRelationSpace* space;
 

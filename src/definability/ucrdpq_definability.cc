@@ -1,6 +1,8 @@
 #include "definability/ucrdpq_definability.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "common/failpoint.h"
 #include "obs/trace.h"
@@ -38,6 +40,84 @@ bool BuildPins(const NodeTuple& source, const NodeTuple& image,
   return true;
 }
 
+/// AC-3's fixpoint is the unique greatest arc-consistent subdomain. With
+/// closed = AC(D) for the base domains D and a seed's first pin (p, u),
+///   AC(AC(closed ∩ {p=u}) ∩ pins) = AC(D ∩ pins),
+/// so a seed searched from AC(closed ∩ {p=u}) sees exactly the domains a
+/// pinned copy of the CSP would, and a seed whose other pins fall outside
+/// them is refuted by a bit test. This memo holds AC(closed ∩ {p=u}) per
+/// u for one p at a time: tuples iterate sorted, so p changes at most n
+/// times and at most n entries are live. Without AC-3 in the search it
+/// holds the pinned base domains unclosed.
+class FirstPinMemo {
+ public:
+  FirstPinMemo(const Csp& csp, bool use_ac3, const ResourceBudget* budget,
+               CspStats* stats)
+      : csp_(csp),
+        use_ac3_(use_ac3),
+        budget_(budget),
+        stats_(stats),
+        closed_(csp.domains),
+        closed_ok_(!use_ac3 || EnforceArcConsistency(csp, &closed_, stats)),
+        state_(csp.num_variables, State::kUnknown),
+        entries_(csp.num_variables),
+        var_(csp.num_variables),
+        entry_bytes_(static_cast<std::int64_t>(
+            csp.num_variables * csp.WordsPerRow() * sizeof(std::uint64_t))) {}
+
+  /// The domains for h(p) = u, or nullptr when AC-3 refutes it. Each new
+  /// entry is charged to the budget, and released when p changes.
+  const std::vector<DynamicBitset>* Get(NodeId p, NodeId u) {
+    if (p != var_) {
+      var_ = p;
+      std::fill(state_.begin(), state_.end(), State::kUnknown);
+      for (std::vector<DynamicBitset>& entry : entries_) {
+        std::vector<DynamicBitset>().swap(entry);
+      }
+      Charge(-live_bytes_);
+    }
+    if (state_[u] == State::kUnknown) {
+      state_[u] = State::kWiped;
+      if (closed_ok_ && closed_[p].Test(u)) {
+        std::vector<DynamicBitset>& entry = entries_[u];
+        entry = closed_;
+        Charge(entry_bytes_);
+        entry[p].Clear();
+        entry[p].Set(u);
+        if (!use_ac3_ || EnforceArcConsistency(csp_, &entry, stats_, p)) {
+          state_[u] = State::kClosed;
+        } else {
+          std::vector<DynamicBitset>().swap(entry);
+          Charge(-entry_bytes_);
+        }
+      }
+    }
+    return state_[u] == State::kClosed ? &entries_[u] : nullptr;
+  }
+
+ private:
+  enum class State : std::uint8_t { kUnknown, kWiped, kClosed };
+
+  void Charge(std::int64_t bytes) {
+    live_bytes_ += bytes;
+    if (budget_ != nullptr) {
+      budget_->ChargeBytes(bytes);
+    }
+  }
+
+  const Csp& csp_;
+  const bool use_ac3_;
+  const ResourceBudget* budget_;
+  CspStats* stats_;
+  std::vector<DynamicBitset> closed_;
+  const bool closed_ok_;
+  std::vector<State> state_;
+  std::vector<std::vector<DynamicBitset>> entries_;
+  std::size_t var_;  ///< the p of the live entries
+  const std::int64_t entry_bytes_;
+  std::int64_t live_bytes_ = 0;
+};
+
 }  // namespace
 
 Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
@@ -56,14 +136,26 @@ Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
   GQD_TRACE_SPAN(search_span, "ucrdpq.search");
   GQD_TRACE_SPAN_ATTR(search_span, "tuples", relation.size());
   GQD_TRACE_SPAN_ATTR(search_span, "arity", relation.arity());
-  // Build the homomorphism CSP once; each seed re-pins a copy.
+  const ResourceBudget* budget = options.csp.budget;
+  // Build the homomorphism CSP once; no seed copies it.
   Csp base_csp;
   {
     GQD_TRACE_SPAN(build_span, "ucrdpq.build_csp");
-    base_csp = BuildHomomorphismCsp(graph);
+    GQD_ASSIGN_OR_RETURN(base_csp, BuildHomomorphismCsp(graph, budget));
     GQD_TRACE_SPAN_ATTR(build_span, "variables", base_csp.num_variables);
     GQD_TRACE_SPAN_ATTR(build_span, "constraints", base_csp.constraints.size());
   }
+  auto budget_stop = [&]() {
+    result.verdict = DefinabilityVerdict::kBudgetExhausted;
+    if (budget != nullptr && budget->Exhausted()) {
+      result.partial =
+          PartialProgress{result.csp_stats.nodes_expanded, result.seeds_tried,
+                          budget->bytes_peak(), "ucrdpq-csp"};
+    }
+    return result;
+  };
+
+  FirstPinMemo memo(base_csp, options.csp.use_ac3, budget, &result.csp_stats);
   std::vector<std::pair<NodeId, NodeId>> pins;
   for (const NodeTuple& source : relation.tuples()) {
     NodeTuple image(relation.arity(), 0);
@@ -86,35 +178,28 @@ Result<UcrdpqDefinabilityResult> CheckUcrdpqDefinability(
       result.seeds_tried++;
       GQD_TRACE_SPAN(seed_span, "ucrdpq.seed");
       GQD_TRACE_SPAN_ATTR(seed_span, "seed", result.seeds_tried);
-      // A pin wipes a domain exactly when the base domain already lacks the
-      // pinned value, so probe the base CSP before paying for its copy.
-      // Counted as a tried seed either way — seeds_tried is pinned by the
-      // differential tests.
-      bool wiped = false;
-      for (const auto& [node, pinned] : pins) {
-        if (!base_csp.domains[node].Test(pinned)) {
-          wiped = true;
-          break;
-        }
+      const std::vector<DynamicBitset>* domains =
+          memo.Get(pins[0].first, pins[0].second);
+      if (budget != nullptr && budget->OverByteLimit()) {
+        return budget_stop();
       }
-      if (wiped) {
+      bool refuted = domains == nullptr;
+      for (std::size_t i = 1; i < pins.size() && !refuted; i++) {
+        refuted = !(*domains)[pins[i].first].Test(pins[i].second);
+      }
+      if (refuted) {
         continue;
       }
-      Csp csp = base_csp;
+      std::vector<DynamicBitset> seeded = *domains;
       for (const auto& [node, pinned] : pins) {
-        csp.Pin(node, pinned);
+        seeded[node].Clear();
+        seeded[node].Set(pinned);
       }
-      auto solved = SolveCsp(csp, options.csp, &result.csp_stats);
+      auto solved = SolveCsp(base_csp, std::move(seeded), options.csp,
+                             &result.csp_stats);
       if (!solved.ok()) {
         if (solved.status().code() == StatusCode::kResourceExhausted) {
-          result.verdict = DefinabilityVerdict::kBudgetExhausted;
-          if (options.csp.budget != nullptr &&
-              options.csp.budget->Exhausted()) {
-            result.partial = PartialProgress{
-                result.csp_stats.nodes_expanded, result.seeds_tried,
-                options.csp.budget->bytes_peak(), "ucrdpq-csp"};
-          }
-          return result;
+          return budget_stop();
         }
         return solved.status();
       }

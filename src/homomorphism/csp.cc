@@ -22,13 +22,31 @@ Csp Csp::Full(std::size_t num_variables, std::size_t domain_size) {
     full.Set(v);
   }
   csp.domains.assign(num_variables, full);
+  csp.incidence.resize(num_variables);
   return csp;
 }
 
 void Csp::AddConstraint(std::size_t var_a, std::size_t var_b,
-                        DynamicBitset allowed) {
+                        std::vector<std::uint64_t> rows) {
+  assert(var_a != var_b);
+  assert(rows.size() == domain_size * WordsPerRow());
+  incidence[var_a].push_back(constraints.size());
+  incidence[var_b].push_back(constraints.size());
+  constraints.push_back(
+      BinaryConstraint{var_a, var_b, WordsPerRow(), std::move(rows)});
+}
+
+void Csp::AddConstraint(std::size_t var_a, std::size_t var_b,
+                        const DynamicBitset& allowed) {
   assert(allowed.size() == domain_size * domain_size);
-  constraints.push_back(BinaryConstraint{var_a, var_b, std::move(allowed)});
+  const std::size_t words = WordsPerRow();
+  std::vector<std::uint64_t> rows(domain_size * words, 0);
+  for (std::size_t bit = allowed.FindNext(0); bit < allowed.size();
+       bit = allowed.FindNext(bit + 1)) {
+    std::size_t b = bit % domain_size;
+    rows[bit / domain_size * words + (b >> 6)] |= std::uint64_t{1} << (b & 63);
+  }
+  AddConstraint(var_a, var_b, std::move(rows));
 }
 
 void Csp::Pin(std::size_t var, std::uint32_t value) {
@@ -39,34 +57,20 @@ void Csp::Pin(std::size_t var, std::uint32_t value) {
 
 namespace {
 
-/// Per-variable incident constraint indices, for AC-3 arc scheduling.
-std::vector<std::vector<std::size_t>> BuildIncidence(const Csp& csp) {
-  std::vector<std::vector<std::size_t>> incidence(csp.num_variables);
-  for (std::size_t i = 0; i < csp.constraints.size(); i++) {
-    incidence[csp.constraints[i].var_a].push_back(i);
-    incidence[csp.constraints[i].var_b].push_back(i);
-  }
-  return incidence;
-}
-
-/// Removes from dom(var_a) values with no support in dom(var_b) under
-/// `constraint` (oriented as written). Returns true if dom(var_a) changed.
-bool Revise(const Csp& csp, const BinaryConstraint& constraint,
+/// Removes from dom(var_a) the values a whose row misses dom(var_b).
+/// Returns true if dom(var_a) changed.
+bool Revise(const BinaryConstraint& constraint,
             std::vector<DynamicBitset>* domains, CspStats* stats) {
   bool changed = false;
   DynamicBitset& dom_a = (*domains)[constraint.var_a];
-  const DynamicBitset& dom_b = (*domains)[constraint.var_b];
-  for (std::size_t a = dom_a.FindNext(0); a < csp.domain_size;
+  const std::uint64_t* dom_b = (*domains)[constraint.var_b].words().data();
+  const std::size_t words = constraint.words_per_row;
+  for (std::size_t a = dom_a.FindNext(0); a < dom_a.size();
        a = dom_a.FindNext(a + 1)) {
+    const std::uint64_t* row = constraint.Row(a);
     bool supported = false;
-    for (std::size_t b = dom_b.FindNext(0); b < csp.domain_size;
-         b = dom_b.FindNext(b + 1)) {
-      if (constraint.Allows(static_cast<std::uint32_t>(a),
-                            static_cast<std::uint32_t>(b),
-                            csp.domain_size)) {
-        supported = true;
-        break;
-      }
+    for (std::size_t w = 0; w < words && !supported; w++) {
+      supported = (row[w] & dom_b[w]) != 0;
     }
     if (!supported) {
       dom_a.Reset(a);
@@ -79,63 +83,71 @@ bool Revise(const Csp& csp, const BinaryConstraint& constraint,
   return changed;
 }
 
-/// Reverse-oriented Revise: prunes dom(var_b) against dom(var_a).
-bool ReviseReverse(const Csp& csp, const BinaryConstraint& constraint,
-                   std::vector<DynamicBitset>* domains, CspStats* stats) {
-  bool changed = false;
+/// Reverse-oriented Revise: dom(var_b) &= ⋃_{a ∈ dom(var_a)} row_a, with
+/// the union built in `support`. Returns true if dom(var_b) changed.
+bool ReviseReverse(const BinaryConstraint& constraint,
+                   std::vector<DynamicBitset>* domains,
+                   std::vector<std::uint64_t>* support, CspStats* stats) {
   const DynamicBitset& dom_a = (*domains)[constraint.var_a];
-  DynamicBitset& dom_b = (*domains)[constraint.var_b];
-  for (std::size_t b = dom_b.FindNext(0); b < csp.domain_size;
-       b = dom_b.FindNext(b + 1)) {
-    bool supported = false;
-    for (std::size_t a = dom_a.FindNext(0); a < csp.domain_size;
-         a = dom_a.FindNext(a + 1)) {
-      if (constraint.Allows(static_cast<std::uint32_t>(a),
-                            static_cast<std::uint32_t>(b),
-                            csp.domain_size)) {
-        supported = true;
-        break;
-      }
+  std::vector<std::uint64_t>& dom_b =
+      (*domains)[constraint.var_b].mutable_words();
+  const std::size_t words = constraint.words_per_row;
+  support->assign(words, 0);
+  for (std::size_t a = dom_a.FindNext(0); a < dom_a.size();
+       a = dom_a.FindNext(a + 1)) {
+    const std::uint64_t* row = constraint.Row(a);
+    for (std::size_t w = 0; w < words; w++) {
+      (*support)[w] |= row[w];
     }
-    if (!supported) {
-      dom_b.Reset(b);
-      changed = true;
-    }
+  }
+  std::uint64_t removed = 0;
+  for (std::size_t w = 0; w < words; w++) {
+    removed |= dom_b[w] & ~(*support)[w];
+    dom_b[w] &= (*support)[w];
   }
   if (stats != nullptr) {
     stats->propagations++;
   }
-  return changed;
+  return removed != 0;
 }
 
-/// AC-3 to a fixpoint. Returns false if some domain wiped out.
-bool Ac3(const Csp& csp,
-         const std::vector<std::vector<std::size_t>>& incidence,
+/// AC-3 to a fixpoint from a worklist of constraint indices. Returns false
+/// if some domain wiped out.
+bool Ac3(const Csp& csp, const std::vector<std::size_t>* initial,
          std::vector<DynamicBitset>* domains, CspStats* stats) {
   std::queue<std::size_t> work;
   std::vector<bool> queued(csp.constraints.size(), false);
-  for (std::size_t i = 0; i < csp.constraints.size(); i++) {
-    work.push(i);
-    queued[i] = true;
+  auto enqueue = [&](std::size_t index) {
+    if (!queued[index]) {
+      work.push(index);
+      queued[index] = true;
+    }
+  };
+  if (initial == nullptr) {
+    for (std::size_t i = 0; i < csp.constraints.size(); i++) {
+      enqueue(i);
+    }
+  } else {
+    for (std::size_t i : *initial) {
+      enqueue(i);
+    }
   }
+  std::vector<std::uint64_t> support;
   while (!work.empty()) {
     std::size_t index = work.front();
     work.pop();
     queued[index] = false;
     const BinaryConstraint& constraint = csp.constraints[index];
-    bool changed_a = Revise(csp, constraint, domains, stats);
-    bool changed_b = ReviseReverse(csp, constraint, domains, stats);
+    bool changed_a = Revise(constraint, domains, stats);
+    bool changed_b = ReviseReverse(constraint, domains, &support, stats);
     if ((*domains)[constraint.var_a].None() ||
         (*domains)[constraint.var_b].None()) {
       return false;
     }
     if (changed_a || changed_b) {
       for (std::size_t var : {constraint.var_a, constraint.var_b}) {
-        for (std::size_t other : incidence[var]) {
-          if (!queued[other]) {
-            work.push(other);
-            queued[other] = true;
-          }
+        for (std::size_t other : csp.incidence[var]) {
+          enqueue(other);
         }
       }
     }
@@ -152,7 +164,7 @@ bool SingletonsConsistent(const Csp& csp,
     if (dom_a.Count() == 1 && dom_b.Count() == 1) {
       std::uint32_t a = static_cast<std::uint32_t>(dom_a.FindNext(0));
       std::uint32_t b = static_cast<std::uint32_t>(dom_b.FindNext(0));
-      if (!constraint.Allows(a, b, csp.domain_size)) {
+      if (!constraint.Allows(a, b)) {
         return false;
       }
     }
@@ -163,7 +175,6 @@ bool SingletonsConsistent(const Csp& csp,
 struct Searcher {
   const Csp& csp;
   const CspOptions& options;
-  std::vector<std::vector<std::size_t>> incidence;
   CspStats* stats;
   std::vector<std::vector<std::uint32_t>>* all_solutions = nullptr;
   std::size_t max_solutions = 1;
@@ -175,7 +186,7 @@ struct Searcher {
   std::uint32_t budget_ticks = 0;
 
   Searcher(const Csp& c, const CspOptions& o, CspStats* s)
-      : csp(c), options(o), incidence(BuildIncidence(c)), stats(s) {}
+      : csp(c), options(o), stats(s) {}
 
   /// Returns true when the search should stop (enough solutions found).
   bool Search(std::vector<DynamicBitset> domains) {
@@ -232,7 +243,7 @@ struct Searcher {
       child[best_var].Clear();
       child[best_var].Set(value);
       if (options.use_ac3) {
-        if (!Ac3(csp, incidence, &child, stats)) {
+        if (!Ac3(csp, nullptr, &child, stats)) {
           continue;
         }
       } else if (!SingletonsConsistent(csp, child)) {
@@ -250,12 +261,18 @@ struct Searcher {
 
 Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
     const Csp& csp, const CspOptions& options, CspStats* stats) {
+  return SolveCsp(csp, csp.domains, options, stats);
+}
+
+Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
+    const Csp& csp, std::vector<DynamicBitset> domains,
+    const CspOptions& options, CspStats* stats) {
   CspStats local_stats;
   if (stats == nullptr) {
     stats = &local_stats;
   }
   GQD_TRACE_SPAN(span, "csp.solve");
-  GQD_TRACE_SPAN_ATTR(span, "variables", csp.domains.size());
+  GQD_TRACE_SPAN_ATTR(span, "variables", domains.size());
   // Stats pointers are often shared across seeds; attribute only this
   // solve's delta to the span.
   std::size_t nodes_before = stats->nodes_expanded;
@@ -264,9 +281,7 @@ Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
   std::vector<std::vector<std::uint32_t>> solutions;
   searcher.all_solutions = &solutions;
   searcher.max_solutions = 1;
-  std::vector<DynamicBitset> domains = csp.domains;
-  if (options.use_ac3 &&
-      !Ac3(csp, searcher.incidence, &domains, stats)) {
+  if (options.use_ac3 && !Ac3(csp, nullptr, &domains, stats)) {
     return std::optional<std::vector<std::uint32_t>>();
   }
   searcher.Search(std::move(domains));
@@ -293,6 +308,14 @@ Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
   return std::optional<std::vector<std::uint32_t>>(std::move(solutions[0]));
 }
 
+bool EnforceArcConsistency(const Csp& csp, std::vector<DynamicBitset>* domains,
+                           CspStats* stats,
+                           std::optional<std::size_t> changed_var) {
+  return Ac3(csp,
+             changed_var.has_value() ? &csp.incidence[*changed_var] : nullptr,
+             domains, stats);
+}
+
 Result<std::vector<std::vector<std::uint32_t>>> EnumerateCspSolutions(
     const Csp& csp, std::size_t max_solutions) {
   CspStats stats;
@@ -302,7 +325,7 @@ Result<std::vector<std::vector<std::uint32_t>>> EnumerateCspSolutions(
   searcher.all_solutions = &solutions;
   searcher.max_solutions = max_solutions;
   std::vector<DynamicBitset> domains = csp.domains;
-  if (!Ac3(csp, searcher.incidence, &domains, &stats)) {
+  if (!Ac3(csp, nullptr, &domains, &stats)) {
     return solutions;
   }
   searcher.Search(std::move(domains));

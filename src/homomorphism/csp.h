@@ -20,16 +20,20 @@
 
 namespace gqd {
 
-/// A binary constraint between two variables: the set of allowed value
-/// pairs, stored row-major (allowed[x * domain + y]).
+/// A binary constraint between two variables: the allowed value pairs as
+/// word-padded rows, so AC-3 revises an arc a word at a time. Row a (at
+/// rows[a * words_per_row]) holds the b values allowed with a.
 struct BinaryConstraint {
   std::size_t var_a;
   std::size_t var_b;
-  DynamicBitset allowed;  ///< size = domain_size², bit (a_val*D + b_val).
+  std::size_t words_per_row;         ///< ⌈domain_size / 64⌉
+  std::vector<std::uint64_t> rows;  ///< domain_size rows, padding bits clear
 
-  bool Allows(std::uint32_t a_value, std::uint32_t b_value,
-              std::size_t domain_size) const {
-    return allowed.Test(a_value * domain_size + b_value);
+  const std::uint64_t* Row(std::size_t a_value) const {
+    return rows.data() + a_value * words_per_row;
+  }
+  bool Allows(std::uint32_t a_value, std::uint32_t b_value) const {
+    return (Row(a_value)[b_value >> 6] >> (b_value & 63)) & 1u;
   }
 };
 
@@ -40,13 +44,23 @@ struct Csp {
   /// Initial per-variable domains (callers may pre-restrict, e.g. seeds).
   std::vector<DynamicBitset> domains;
   std::vector<BinaryConstraint> constraints;
+  /// Per variable, the indices of its constraints (kept by AddConstraint).
+  std::vector<std::vector<std::size_t>> incidence;
 
   /// Creates a CSP with full domains.
   static Csp Full(std::size_t num_variables, std::size_t domain_size);
 
-  /// Adds a constraint; `allowed` must have domain_size² bits.
+  /// Words per constraint row: ⌈domain_size / 64⌉.
+  std::size_t WordsPerRow() const { return (domain_size + 63) / 64; }
+
+  /// Adds a constraint given as domain_size rows of WordsPerRow() words.
+  /// Requires var_a ≠ var_b: unary constraints belong in the domains.
   void AddConstraint(std::size_t var_a, std::size_t var_b,
-                     DynamicBitset allowed);
+                     std::vector<std::uint64_t> rows);
+  /// Adds a constraint given as a domain_size²-bit table, bit
+  /// (a_value * domain_size + b_value).
+  void AddConstraint(std::size_t var_a, std::size_t var_b,
+                     const DynamicBitset& allowed);
 
   /// Restricts variable `var` to exactly `value`.
   void Pin(std::size_t var, std::uint32_t value);
@@ -75,6 +89,20 @@ struct CspOptions {
 /// is exhausted — reported via Status to distinguish "no" from "gave up").
 Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
     const Csp& csp, const CspOptions& options = {}, CspStats* stats = nullptr);
+
+/// As above, searching from `domains` in place of `csp.domains`.
+Result<std::optional<std::vector<std::uint32_t>>> SolveCsp(
+    const Csp& csp, std::vector<DynamicBitset> domains,
+    const CspOptions& options = {}, CspStats* stats = nullptr);
+
+/// Runs AC-3 on `domains` to their greatest arc-consistent subdomain, the
+/// fixpoint SolveCsp starts its search from. Returns false when the domain
+/// of a constrained variable wipes out. With `changed_var` set, only the
+/// arcs at that variable are queued first, which reaches the same fixpoint
+/// when `domains` was arc-consistent before `changed_var`'s domain shrank.
+bool EnforceArcConsistency(const Csp& csp, std::vector<DynamicBitset>* domains,
+                           CspStats* stats = nullptr,
+                           std::optional<std::size_t> changed_var = {});
 
 /// Enumerates all solutions (tests/oracles only; exponential).
 Result<std::vector<std::vector<std::uint32_t>>> EnumerateCspSolutions(

@@ -42,17 +42,16 @@ bool IsDataGraphHomomorphism(const DataGraph& graph,
   return true;
 }
 
-Csp BuildHomomorphismCsp(const DataGraph& graph) {
+Result<Csp> BuildHomomorphismCsp(const DataGraph& graph,
+                                 const ResourceBudget* budget) {
   std::size_t n = graph.NumNodes();
   Csp csp = Csp::Full(n, n);
+  const std::size_t words = csp.WordsPerRow();
   BinaryRelation reach = Reachability(graph);
 
-  // Per ordered node pair (p, q), the allowed image pairs (x, y). We only
-  // materialize a constraint when (p, q) is actually constrained: some edge
-  // p -a-> q exists, or q is reachable from p (p ≠ q). Unary constraints
-  // (self-loops, p == q) are folded into the variable domains.
+  // Unary constraints (self-loops) are folded into the variable domains:
+  // self-loop labels must be preserved.
   for (NodeId p = 0; p < n; p++) {
-    // Unary: self-loop labels must be preserved.
     for (const auto& [label, q0] : graph.OutEdges(p)) {
       if (q0 != p) {
         continue;
@@ -64,46 +63,76 @@ Csp BuildHomomorphismCsp(const DataGraph& graph) {
       }
     }
   }
+
+  // A constraint per ordered pair p ≠ q with q reachable from p, which
+  // covers every edge p -a-> q. Its table is about n² bits, so charge them
+  // all before building any. `reach` is reflexive: drop the diagonal.
+  std::uint64_t num_constraints = 0;
+  for (NodeId p = 0; p < n; p++) {
+    num_constraints += reach.Row(p).Count() - 1;
+  }
+  if (budget != nullptr) {
+    const std::uint64_t table_bytes =
+        n * words * sizeof(std::uint64_t) + sizeof(BinaryConstraint) +
+        2 * sizeof(std::size_t);
+    budget->ChargeBytes(
+        static_cast<std::int64_t>(num_constraints * table_bytes));
+    if (budget->OverByteLimit()) {
+      return Status::ResourceExhausted(
+          "homomorphism CSP too large for the byte budget: " +
+          std::to_string(num_constraints) + " constraint tables of " +
+          std::to_string(table_bytes) + " bytes (budget " +
+          std::to_string(budget->max_bytes()) + " bytes)");
+    }
+  }
+
+  // Row x of (p, q)'s table is the set of y with ρ(x) = ρ(y) iff
+  // ρ(p) = ρ(q), and x -a-> y for every label a on p -> q: the AND of
+  // x's same- or other-value class and x's a-successors.
+  std::vector<std::uint64_t> successors(graph.NumLabels() * n * words, 0);
+  for (NodeId x = 0; x < n; x++) {
+    for (const auto& [label, y] : graph.OutEdges(x)) {
+      successors[(label * n + x) * words + (y >> 6)] |= std::uint64_t{1}
+                                                        << (y & 63);
+    }
+  }
+  std::vector<std::uint64_t> same_value(n * words, 0);
+  std::vector<std::uint64_t> other_value(n * words, 0);
+  for (NodeId x = 0; x < n; x++) {
+    for (NodeId y = 0; y < n; y++) {
+      std::vector<std::uint64_t>& side =
+          graph.DataValueOf(x) == graph.DataValueOf(y) ? same_value
+                                                       : other_value;
+      side[x * words + (y >> 6)] |= std::uint64_t{1} << (y & 63);
+    }
+  }
+  std::vector<LabelId> labels;
   for (NodeId p = 0; p < n; p++) {
     for (NodeId q = 0; q < n; q++) {
-      if (p == q) {
+      if (p == q || !reach.Test(p, q)) {
         continue;
       }
-      // Labels on edges p -> q.
-      std::vector<LabelId> labels;
+      labels.clear();
       for (const auto& [label, to] : graph.OutEdges(p)) {
         if (to == q) {
           labels.push_back(label);
         }
       }
-      bool reachable = reach.Test(p, q);
-      if (labels.empty() && !reachable) {
-        continue;
-      }
-      DynamicBitset allowed(n * n);
-      bool same_source = graph.DataValueOf(p) == graph.DataValueOf(q);
+      const std::vector<std::uint64_t>& values =
+          graph.DataValueOf(p) == graph.DataValueOf(q) ? same_value
+                                                       : other_value;
+      std::vector<std::uint64_t> rows(n * words);
       for (NodeId x = 0; x < n; x++) {
-        for (NodeId y = 0; y < n; y++) {
-          bool ok = true;
+        std::uint64_t* row = rows.data() + x * words;
+        for (std::size_t w = 0; w < words; w++) {
+          std::uint64_t bits = values[x * words + w];
           for (LabelId label : labels) {
-            if (!graph.HasEdge(x, label, y)) {
-              ok = false;
-              break;
-            }
+            bits &= successors[(label * n + x) * words + w];
           }
-          if (ok && reachable) {
-            bool same_image =
-                graph.DataValueOf(x) == graph.DataValueOf(y);
-            if (same_source != same_image) {
-              ok = false;
-            }
-          }
-          if (ok) {
-            allowed.Set(x * n + y);
-          }
+          row[w] = bits;
         }
       }
-      csp.AddConstraint(p, q, std::move(allowed));
+      csp.AddConstraint(p, q, std::move(rows));
     }
   }
   return csp;
@@ -113,7 +142,7 @@ Result<std::optional<NodeMapping>> FindHomomorphismWithPins(
     const DataGraph& graph,
     const std::vector<std::pair<NodeId, NodeId>>& pins,
     const CspOptions& options, CspStats* stats) {
-  Csp csp = BuildHomomorphismCsp(graph);
+  GQD_ASSIGN_OR_RETURN(Csp csp, BuildHomomorphismCsp(graph));
   for (const auto& [node, image] : pins) {
     csp.Pin(node, image);
     if (csp.domains[node].None()) {
@@ -130,7 +159,7 @@ Result<std::optional<NodeMapping>> FindHomomorphismWithPins(
 
 Result<std::vector<NodeMapping>> EnumerateHomomorphisms(
     const DataGraph& graph, std::size_t max_solutions) {
-  Csp csp = BuildHomomorphismCsp(graph);
+  GQD_ASSIGN_OR_RETURN(Csp csp, BuildHomomorphismCsp(graph));
   GQD_ASSIGN_OR_RETURN(auto solutions,
                        EnumerateCspSolutions(csp, max_solutions));
   std::vector<NodeMapping> mappings;

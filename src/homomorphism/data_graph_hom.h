@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/budget.h"
 #include "common/status.h"
 #include "graph/data_graph.h"
 #include "graph/relation.h"
@@ -29,8 +30,11 @@ bool IsDataGraphHomomorphism(const DataGraph& graph,
                              const NodeMapping& mapping);
 
 /// Builds the CSP whose solutions are exactly the data-graph homomorphisms
-/// of `graph`.
-Csp BuildHomomorphismCsp(const DataGraph& graph);
+/// of `graph`. Its constraint tables (n² bits for each constrained node
+/// pair) are charged to `budget` before they are built; over its byte limit
+/// the build returns ResourceExhausted without allocating them.
+Result<Csp> BuildHomomorphismCsp(const DataGraph& graph,
+                                 const ResourceBudget* budget = nullptr);
 
 /// Finds any homomorphism satisfying the given pins (h(node) = image).
 /// Returns nullopt when none exists.

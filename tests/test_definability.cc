@@ -227,6 +227,80 @@ TEST(UcrdpqDefinability, DeadlineCancelsSeedLoop) {
       << result.status();
 }
 
+TEST(UcrdpqDefinability, ByteBudgetRefusesTheCspBeforeBuildingIt) {
+  // A 2000-node path has ~2M reachable pairs, each a table of 2000 rows:
+  // about a terabyte. The byte budget must refuse them before any is
+  // allocated.
+  std::vector<std::uint32_t> values(2000);
+  for (std::size_t i = 0; i < values.size(); i++) {
+    values[i] = static_cast<std::uint32_t>(i % 3);
+  }
+  DataGraph g = LineGraph(values);
+  BinaryRelation s(g.NumNodes());
+  s.Set(0, 1);
+  ResourceBudget budget(20'000'000, 0);
+  UcrdpqDefinabilityOptions options;
+  options.csp.budget = &budget;
+  auto result = CheckUcrdpqDefinability(g, s, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("homomorphism CSP too large"),
+            std::string::npos)
+      << result.status();
+  EXPECT_GT(budget.bytes_used(), std::uint64_t{500'000'000'000});
+}
+
+TEST(UcrdpqDefinability, ByteBudgetChargesTheSeedMemo) {
+  // Room for the tables but not for one memoized first-pin closure: the
+  // seed loop stops with a budget verdict and a partial-progress report.
+  DataGraph g = RandomDataGraph({.num_nodes = 12,
+                                 .num_labels = 2,
+                                 .num_data_values = 2,
+                                 .edge_percent = 15,
+                                 .seed = 3});
+  BinaryRelation s = RandomRelation(12, 10, 4);
+  ResourceBudget probe(1, 0);
+  UcrdpqDefinabilityOptions options;
+  options.csp.budget = &probe;
+  ASSERT_FALSE(CheckUcrdpqDefinability(g, s, options).ok());
+  const std::uint64_t table_bytes = probe.bytes_used();
+  ResourceBudget tight(table_bytes + 1, 0);
+  options.csp.budget = &tight;
+  auto result = CheckUcrdpqDefinability(g, s, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result.value().verdict, DefinabilityVerdict::kBudgetExhausted);
+  ASSERT_TRUE(result.value().partial.has_value());
+  EXPECT_EQ(result.value().partial->stage, "ucrdpq-csp");
+  EXPECT_GT(result.value().seeds_tried, 0u);
+}
+
+TEST(UcrdpqDefinability, RoomyByteBudgetKeepsVerdictAndSeeds) {
+  for (std::uint64_t seed = 1; seed <= 8; seed++) {
+    std::size_t n = 6 + seed % 6;
+    DataGraph g = RandomDataGraph({.num_nodes = n,
+                                   .num_labels = 1 + seed % 2,
+                                   .num_data_values = 2,
+                                   .edge_percent = 20,
+                                   .seed = seed});
+    BinaryRelation s = RandomRelation(n, 15, seed + 50);
+    auto unbudgeted = CheckUcrdpqDefinability(g, s);
+    ResourceBudget budget(1'000'000'000, 0);
+    UcrdpqDefinabilityOptions options;
+    options.csp.budget = &budget;
+    auto budgeted = CheckUcrdpqDefinability(g, s, options);
+    ASSERT_TRUE(unbudgeted.ok()) << seed;
+    ASSERT_TRUE(budgeted.ok()) << seed;
+    EXPECT_EQ(unbudgeted.value().verdict, budgeted.value().verdict) << seed;
+    EXPECT_EQ(unbudgeted.value().seeds_tried, budgeted.value().seeds_tried)
+        << seed;
+    EXPECT_EQ(unbudgeted.value().violating_homomorphism,
+              budgeted.value().violating_homomorphism)
+        << seed;
+    EXPECT_FALSE(budgeted.value().partial.has_value()) << seed;
+    EXPECT_GT(budget.bytes_peak(), 0u) << seed;
+  }
+}
+
 TEST(UcrdpqDefinability, HalfOfS2) {
   // {(v1,v4)} vs S2: the primed chain v'1..v'4 maps onto v1..v4 by an
   // automorphism-like homomorphism only if data compatibility allows; the

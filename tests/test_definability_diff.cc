@@ -24,6 +24,7 @@
 #include "eval/ree_eval.h"
 #include "graph/generators.h"
 #include "graph/sparse_relation.h"
+#include "homomorphism/data_graph_hom.h"
 #include "ree/parser.h"
 #include "rem/parser.h"
 #include "storage/container.h"
@@ -707,6 +708,240 @@ TEST(RelationBackendDiff, UcrdpqIdenticalAcrossBackends) {
       }
     }
   }
+}
+
+// --- UCRDPQ: memoized first-pin closure vs a fresh CSP per seed ----------
+
+/// The UCRDPQ seed loop without the first-pin memo: every seed (t, t') with
+/// t ∈ S, t' ∉ S and consistent pins copies the base CSP, pins h(t) = t'
+/// and solves the copy from scratch.
+Result<UcrdpqDefinabilityResult> ReferenceUcrdpq(
+    const DataGraph& graph, const TupleRelation& relation,
+    const CspOptions& csp_options) {
+  UcrdpqDefinabilityResult result;
+  result.verdict = DefinabilityVerdict::kDefinable;
+  if (relation.empty()) {
+    return result;
+  }
+  GQD_ASSIGN_OR_RETURN(Csp base, BuildHomomorphismCsp(graph));
+  const std::size_t n = graph.NumNodes();
+  std::vector<std::pair<NodeId, NodeId>> pins;
+  for (const NodeTuple& source : relation.tuples()) {
+    NodeTuple image(relation.arity(), 0);
+    for (bool more = true; more;) {
+      bool consistent = true;
+      pins.clear();
+      for (std::size_t i = 0; i < source.size(); i++) {
+        for (const auto& [node, pinned] : pins) {
+          consistent &= node != source[i] || pinned == image[i];
+        }
+        pins.emplace_back(source[i], image[i]);
+      }
+      if (!relation.Contains(image) && consistent) {
+        result.seeds_tried++;
+        bool wiped = false;
+        for (const auto& [node, pinned] : pins) {
+          wiped |= !base.domains[node].Test(pinned);
+        }
+        if (!wiped) {
+          Csp csp = base;
+          for (const auto& [node, pinned] : pins) {
+            csp.Pin(node, pinned);
+          }
+          auto solved = SolveCsp(csp, csp_options, &result.csp_stats);
+          if (!solved.ok()) {
+            if (solved.status().code() != StatusCode::kResourceExhausted) {
+              return solved.status();
+            }
+            result.verdict = DefinabilityVerdict::kBudgetExhausted;
+            if (csp_options.budget != nullptr &&
+                csp_options.budget->Exhausted()) {
+              result.partial = PartialProgress{
+                  result.csp_stats.nodes_expanded, result.seeds_tried,
+                  csp_options.budget->bytes_peak(), "ucrdpq-csp"};
+            }
+            return result;
+          }
+          if (solved.value().has_value()) {
+            result.verdict = DefinabilityVerdict::kNotDefinable;
+            result.violating_homomorphism =
+                NodeMapping(solved.value()->begin(), solved.value()->end());
+            result.violated_tuple = source;
+            return result;
+          }
+        }
+      }
+      // Odometer step over V^arity, in lexicographic order.
+      more = false;
+      for (std::size_t i = image.size(); !more && i-- > 0;) {
+        more = ++image[i] < n;
+        if (!more) {
+          image[i] = 0;
+        }
+      }
+    }
+  }
+  return result;
+}
+
+/// Byte peaks differ by design (the checker charges its tables and memo),
+/// so a partial report is compared on its search position only.
+void ExpectSameUcrdpq(const UcrdpqDefinabilityResult& want,
+                      const UcrdpqDefinabilityResult& got,
+                      const std::string& label) {
+  EXPECT_EQ(want.verdict, got.verdict) << label;
+  EXPECT_EQ(want.seeds_tried, got.seeds_tried) << label;
+  EXPECT_EQ(want.violated_tuple, got.violated_tuple) << label;
+  EXPECT_EQ(want.violating_homomorphism, got.violating_homomorphism) << label;
+  EXPECT_EQ(want.csp_stats.nodes_expanded, got.csp_stats.nodes_expanded)
+      << label;
+  ASSERT_EQ(want.partial.has_value(), got.partial.has_value()) << label;
+  if (want.partial.has_value()) {
+    EXPECT_EQ(want.partial->tuples_explored, got.partial->tuples_explored)
+        << label;
+    EXPECT_EQ(want.partial->frontier_depth, got.partial->frontier_depth)
+        << label;
+    EXPECT_EQ(want.partial->stage, got.partial->stage) << label;
+  }
+}
+
+RemPtr RandomRem(SplitMix64* rng, int depth) {
+  static const char* const kLetters[] = {"a", "b", "c"};
+  if (depth == 0 || rng->NextBool(1, 3)) {
+    return rem::Letter(kLetters[rng->NextBelow(3)]);
+  }
+  switch (rng->NextBelow(5)) {
+    case 0:
+      return rem::Union(
+          {RandomRem(rng, depth - 1), RandomRem(rng, depth - 1)});
+    case 1:
+      return rem::Concat(
+          {RandomRem(rng, depth - 1), RandomRem(rng, depth - 1)});
+    case 2:
+      return rem::Plus(RandomRem(rng, depth - 1));
+    case 3:
+      return rem::Bind({0}, RandomRem(rng, depth - 1));
+    default:
+      return rem::Test(RandomRem(rng, depth - 1),
+                       rng->NextBool(1, 2) ? cond::RegisterEq(0)
+                                           : cond::RegisterNeq(0));
+  }
+}
+
+struct UcrdpqCase {
+  DataGraph graph;
+  TupleRelation relation;
+  std::string label;
+};
+
+/// Seeded graphs with n ≤ 10, 1–3 labels and repeated data values, each
+/// with a random pair set, the answer Q_e(G) of a random REM e, and a
+/// ternary relation whose tuples repeat nodes.
+std::vector<UcrdpqCase> UcrdpqCases(std::uint64_t seed) {
+  const std::size_t n = 4 + seed % 7;
+  DataGraph graph = RandomDataGraph(
+      {.num_nodes = n,
+       .num_labels = 1 + seed % 3,
+       .num_data_values = 1 + seed % 3,
+       .edge_percent = static_cast<std::uint32_t>(12 + 4 * (seed % 5)),
+       .seed = seed});
+  SplitMix64 rng(seed * 31 + 7);
+  std::vector<UcrdpqCase> cases;
+  cases.push_back({graph,
+                   TupleRelation::FromBinary(RandomRelation(
+                       n, static_cast<std::uint32_t>(5 + 10 * (seed % 3)),
+                       seed * 13 + 5)),
+                   "pairs seed " + std::to_string(seed)});
+  RemPtr e = RandomRem(&rng, 4);
+  cases.push_back({graph, TupleRelation::FromBinary(EvaluateRem(graph, e)),
+                   "rem " + RemToString(e) + " seed " + std::to_string(seed)});
+  TupleRelation ternary(3);
+  for (std::size_t t = 0; t < 2 + rng.NextBelow(3); t++) {
+    NodeId x = static_cast<NodeId>(rng.NextBelow(n));
+    NodeId y = rng.NextBool(1, 3) ? x : static_cast<NodeId>(rng.NextBelow(n));
+    NodeId z = rng.NextBool(1, 3) ? y : static_cast<NodeId>(rng.NextBelow(n));
+    ternary.Insert({x, y, z});
+  }
+  cases.push_back({graph, std::move(ternary),
+                   "ternary seed " + std::to_string(seed)});
+  return cases;
+}
+
+TEST(UcrdpqDiff, SeedMemoMatchesFreshCspPerSeed) {
+  std::size_t outcomes[3] = {0, 0, 0};
+  for (std::uint64_t seed = 1; seed <= 40; seed++) {
+    for (const UcrdpqCase& c : UcrdpqCases(seed)) {
+      auto want = ReferenceUcrdpq(c.graph, c.relation, {});
+      auto got = CheckUcrdpqDefinability(c.graph, c.relation);
+      ASSERT_TRUE(want.ok()) << c.label;
+      ASSERT_TRUE(got.ok()) << c.label;
+      ExpectSameUcrdpq(want.value(), got.value(), c.label);
+      outcomes[static_cast<int>(got.value().verdict)]++;
+    }
+  }
+  // Both verdicts occur, so the memo is checked on refuted and on
+  // surviving seeds.
+  EXPECT_GT(outcomes[static_cast<int>(DefinabilityVerdict::kDefinable)], 0u);
+  EXPECT_GT(outcomes[static_cast<int>(DefinabilityVerdict::kNotDefinable)],
+            0u);
+}
+
+/// Isolated nodes 0–3 and 6 and one edge 4 -a-> 5, with S = {(4, 4)}.
+/// Pinning h(4) to an isolated node leaves 5 without an image, which plain
+/// backtracking finds only after assigning nodes 0–3: thousands of search
+/// nodes in one seed, enough to reach the search's strided budget poll.
+UcrdpqCase LateConflictCase() {
+  DataGraph graph;
+  for (int v = 0; v < 7; v++) {
+    graph.AddNodeWithValue("0");
+  }
+  graph.AddEdgeByName(4, "a", 5);
+  TupleRelation relation(2);
+  relation.Insert({4, 4});
+  return {std::move(graph), std::move(relation), "late conflict"};
+}
+
+TEST(UcrdpqDiff, SeedMemoStopsIdenticallyUnderBudgets) {
+  // A tuple budget trips only at the search's strided poll, which plain
+  // backtracking reaches on the late-conflict case; a node cap counts
+  // across seeds and stops the random cases under AC-3.
+  std::vector<UcrdpqCase> cases;
+  for (std::uint64_t seed = 1; seed <= 40; seed++) {
+    for (UcrdpqCase& c : UcrdpqCases(seed)) {
+      cases.push_back(std::move(c));
+    }
+  }
+  cases.push_back(LateConflictCase());
+  std::size_t tuple_trips = 0;
+  std::size_t node_caps = 0;
+  for (const UcrdpqCase& c : cases) {
+    for (bool use_ac3 : {false, true}) {
+      ResourceBudget want_budget(0, 1000);
+      ResourceBudget got_budget(0, 1000);
+      CspOptions csp;
+      csp.use_ac3 = use_ac3;
+      csp.max_nodes = use_ac3 ? 3 : 100'000;
+      csp.budget = &want_budget;
+      auto want = ReferenceUcrdpq(c.graph, c.relation, csp);
+      UcrdpqDefinabilityOptions options;
+      options.csp = csp;
+      options.csp.budget = &got_budget;
+      auto got = CheckUcrdpqDefinability(c.graph, c.relation, options);
+      const std::string label = c.label + (use_ac3 ? " ac3" : " plain");
+      ASSERT_TRUE(want.ok()) << label;
+      ASSERT_TRUE(got.ok()) << label;
+      ExpectSameUcrdpq(want.value(), got.value(), label);
+      EXPECT_EQ(want_budget.tuples_used(), got_budget.tuples_used()) << label;
+      if (got.value().partial.has_value()) {
+        tuple_trips++;
+      } else if (got.value().verdict ==
+                 DefinabilityVerdict::kBudgetExhausted) {
+        node_caps++;
+      }
+    }
+  }
+  EXPECT_GT(tuple_trips, 0u);
+  EXPECT_GT(node_caps, 0u);
 }
 
 TEST(RelationBackendDiff, RpqIdenticalAcrossBackends) {

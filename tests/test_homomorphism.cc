@@ -4,6 +4,8 @@
 
 #include <chrono>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/cancel.h"
 #include "graph/examples.h"
@@ -160,6 +162,139 @@ TEST(Csp, DeadlineCancelsMidSearch) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status();
   EXPECT_LT(elapsed_ms, 5000.0);
+}
+
+/// A seeded random CSP for the word-boundary pins below: 5 variables over
+/// `domain_size` values, a constraint on most variable pairs, some values
+/// carved out of the domains, and one pin.
+Csp WordBoundaryCsp(std::size_t domain_size, std::uint64_t seed) {
+  constexpr std::size_t kVariables = 5;
+  constexpr std::uint32_t kPercents[] = {10, 25, 50, 80};
+  SplitMix64 rng(seed * 1000 + domain_size);
+  std::uint32_t percent = kPercents[seed % 4];
+  Csp csp = Csp::Full(kVariables, domain_size);
+  for (std::size_t i = 0; i < kVariables; i++) {
+    for (std::size_t j = i + 1; j < kVariables; j++) {
+      if (!rng.NextBool(3, 4)) {
+        continue;
+      }
+      DynamicBitset allowed(domain_size * domain_size);
+      for (std::size_t bit = 0; bit < allowed.size(); bit++) {
+        if (rng.NextBool(percent, 100)) {
+          allowed.Set(bit);
+        }
+      }
+      csp.AddConstraint(i, j, allowed);
+    }
+  }
+  for (std::size_t v = 0; v < kVariables; v++) {
+    for (std::size_t value = 0; value < domain_size; value++) {
+      if (rng.NextBool(1, 8)) {
+        csp.domains[v].Reset(value);
+      }
+    }
+  }
+  csp.Pin(rng.NextBelow(kVariables),
+          static_cast<std::uint32_t>(rng.NextBelow(domain_size)));
+  return csp;
+}
+
+TEST(Csp, Ac3PinnedAcrossTheWordBoundary) {
+  // Solutions, search nodes and arc revisions on domains that end just
+  // before, at and after a 64-bit word boundary, with AC-3 on and off.
+  // Pinned from the engine's bit-by-bit revisions; the word-parallel ones
+  // must reproduce them exactly.
+  const std::vector<std::string> expected = {
+      "D=1 seed=1 ac3=1 sol=none nodes=0 props=8",
+      "D=1 seed=1 ac3=0 sol=none nodes=1 props=0",
+      "D=1 seed=2 ac3=1 sol=none nodes=0 props=6",
+      "D=1 seed=2 ac3=0 sol=none nodes=1 props=0",
+      "D=1 seed=3 ac3=1 sol=0,0,0,0,0 nodes=1 props=20",
+      "D=1 seed=3 ac3=0 sol=0,0,0,0,0 nodes=1 props=0",
+      "D=1 seed=4 ac3=1 sol=none nodes=0 props=2",
+      "D=1 seed=4 ac3=0 sol=none nodes=1 props=0",
+      "D=1 seed=5 ac3=1 sol=none nodes=0 props=4",
+      "D=1 seed=5 ac3=0 sol=none nodes=1 props=0",
+      "D=5 seed=1 ac3=1 sol=none nodes=0 props=12",
+      "D=5 seed=1 ac3=0 sol=none nodes=4 props=0",
+      "D=5 seed=2 ac3=1 sol=3,0,0,0,1 nodes=5 props=92",
+      "D=5 seed=2 ac3=0 sol=3,0,0,0,1 nodes=5 props=0",
+      "D=5 seed=3 ac3=1 sol=3,1,1,1,0 nodes=5 props=86",
+      "D=5 seed=3 ac3=0 sol=3,1,1,1,0 nodes=5 props=0",
+      "D=5 seed=4 ac3=1 sol=none nodes=0 props=2",
+      "D=5 seed=4 ac3=0 sol=none nodes=4 props=0",
+      "D=5 seed=5 ac3=1 sol=none nodes=0 props=10",
+      "D=5 seed=5 ac3=0 sol=none nodes=11 props=0",
+      "D=63 seed=1 ac3=1 sol=none nodes=0 props=2",
+      "D=63 seed=1 ac3=0 sol=none nodes=1 props=0",
+      "D=63 seed=2 ac3=1 sol=21,2,5,0,4 nodes=5 props=116",
+      "D=63 seed=2 ac3=0 sol=21,2,1,2,4 nodes=5 props=0",
+      "D=63 seed=3 ac3=1 sol=33,5,5,3,1 nodes=5 props=148",
+      "D=63 seed=3 ac3=0 sol=33,12,4,0,1 nodes=5 props=0",
+      "D=63 seed=4 ac3=1 sol=none nodes=0 props=14",
+      "D=63 seed=4 ac3=0 sol=none nodes=53 props=0",
+      "D=63 seed=5 ac3=1 sol=1,32,1,25,61 nodes=4 props=104",
+      "D=63 seed=5 ac3=0 sol=1,35,53,0,61 nodes=6 props=0",
+      "D=64 seed=1 ac3=1 sol=2,51,7,32,16 nodes=3 props=108",
+      "D=64 seed=1 ac3=0 sol=17,51,0,61,20 nodes=5 props=0",
+      "D=64 seed=2 ac3=1 sol=1,4,3,0,30 nodes=5 props=116",
+      "D=64 seed=2 ac3=0 sol=1,5,0,0,30 nodes=5 props=0",
+      "D=64 seed=3 ac3=1 sol=0,0,0,0,0 nodes=5 props=118",
+      "D=64 seed=3 ac3=0 sol=0,0,0,0,0 nodes=5 props=0",
+      "D=64 seed=4 ac3=1 sol=none nodes=0 props=2",
+      "D=64 seed=4 ac3=0 sol=none nodes=1 props=0",
+      "D=64 seed=5 ac3=1 sol=56,22,2,60,1 nodes=2 props=96",
+      "D=64 seed=5 ac3=0 sol=56,22,2,60,1 nodes=6 props=0",
+      "D=65 seed=1 ac3=1 sol=38,14,64,22,4 nodes=4 props=140",
+      "D=65 seed=1 ac3=0 sol=38,14,64,22,4 nodes=6 props=0",
+      "D=65 seed=2 ac3=1 sol=0,51,14,0,3 nodes=5 props=114",
+      "D=65 seed=2 ac3=0 sol=0,51,2,2,2 nodes=5 props=0",
+      "D=65 seed=3 ac3=1 sol=none nodes=0 props=6",
+      "D=65 seed=3 ac3=0 sol=none nodes=1 props=0",
+      "D=65 seed=4 ac3=1 sol=none nodes=0 props=40",
+      "D=65 seed=4 ac3=0 sol=none nodes=15 props=0",
+      "D=65 seed=5 ac3=1 sol=1,22,4,5,7 nodes=5 props=100",
+      "D=65 seed=5 ac3=0 sol=1,22,4,5,7 nodes=5 props=0",
+      "D=130 seed=1 ac3=1 sol=27,2,99,18,19 nodes=4 props=114",
+      "D=130 seed=1 ac3=0 sol=27,78,4,18,19 nodes=5 props=0",
+      "D=130 seed=2 ac3=1 sol=0,4,94,1,0 nodes=5 props=64",
+      "D=130 seed=2 ac3=0 sol=0,4,94,1,0 nodes=5 props=0",
+      "D=130 seed=3 ac3=1 sol=0,0,2,0,1 nodes=5 props=126",
+      "D=130 seed=3 ac3=0 sol=0,0,2,0,1 nodes=5 props=0",
+      "D=130 seed=4 ac3=1 sol=11,116,30,72,0 nodes=3 props=66",
+      "D=130 seed=4 ac3=0 sol=20,116,116,25,0 nodes=61 props=0",
+      "D=130 seed=5 ac3=1 sol=123,3,18,0,16 nodes=5 props=92",
+      "D=130 seed=5 ac3=0 sol=123,3,2,0,56 nodes=5 props=0"};
+  std::vector<std::string> actual;
+  for (std::size_t domain_size : {1, 5, 63, 64, 65, 130}) {
+    for (std::uint64_t seed = 1; seed <= 5; seed++) {
+      Csp csp = WordBoundaryCsp(domain_size, seed);
+      for (bool ac3 : {true, false}) {
+        CspOptions options;
+        options.use_ac3 = ac3;
+        options.max_nodes = 200'000;
+        CspStats stats;
+        auto solved = SolveCsp(csp, options, &stats);
+        std::string line = "D=" + std::to_string(domain_size) +
+                           " seed=" + std::to_string(seed) +
+                           " ac3=" + std::to_string(ac3) + " sol=";
+        if (!solved.ok()) {
+          line += "error";
+        } else if (!solved.value().has_value()) {
+          line += "none";
+        } else {
+          for (std::size_t v = 0; v < solved.value()->size(); v++) {
+            line += (v == 0 ? "" : ",") +
+                    std::to_string((*solved.value())[v]);
+          }
+        }
+        line += " nodes=" + std::to_string(stats.nodes_expanded) +
+                " props=" + std::to_string(stats.propagations);
+        actual.push_back(std::move(line));
+      }
+    }
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(DataGraphHom, IdentityIsAlwaysHomomorphism) {

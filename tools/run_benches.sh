@@ -17,7 +17,9 @@ MIN_TIME="${GQD_BENCH_MIN_TIME:-0.2}"
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
 
-for bench in bench_rem_definability bench_ree_definability; do
+BENCHES=(bench_rem_definability bench_ree_definability
+         bench_ucrdpq_definability)
+for bench in "${BENCHES[@]}"; do
   bin="${BUILD_DIR}/bench/${bench}"
   if [[ ! -x "${bin}" ]]; then
     echo "error: ${bin} not found — build the repo first" >&2
@@ -100,11 +102,11 @@ if [[ -x "${GQD_BIN}" ]]; then
     || echo "warning: 4-worker cluster bench failed" >&2
 fi
 
-python3 - "${TMP_DIR}" "${OUT}" <<'EOF'
+python3 - "${TMP_DIR}" "${OUT}" "${BENCHES[@]}" <<'EOF'
 import json
 import sys
 
-tmp_dir, out_path = sys.argv[1], sys.argv[2]
+tmp_dir, out_path, benches = sys.argv[1], sys.argv[2], sys.argv[3:]
 
 # Pre-kernel-rewrite wall times (ms, Release) for the standard medium
 # workloads — the baseline the word-parallel successor kernels are measured
@@ -117,7 +119,7 @@ BASELINE_MS = {
 
 results = []
 stage_totals = {}
-for bench in ("bench_rem_definability", "bench_ree_definability"):
+for bench in benches:
     with open(f"{tmp_dir}/{bench}.json") as f:
         data = json.load(f)
     # Per-stage wall totals from the tracer (exact even under ring
@@ -144,7 +146,8 @@ for bench in ("bench_rem_definability", "bench_ree_definability"):
             "iterations": b["iterations"],
         }
         for counter in ("macro_tuples", "monoid_size", "tuples_per_sec",
-                        "elements_per_sec", "levels", "verdict"):
+                        "elements_per_sec", "levels", "verdict",
+                        "hom_seeds", "csp_nodes"):
             if counter in b:
                 entry[counter] = b[counter]
         results.append(entry)
