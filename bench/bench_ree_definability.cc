@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "definability/ree_definability.h"
 #include "graph/generators.h"
 
@@ -64,6 +66,46 @@ void BM_ReeDefinability_SweepLabels(benchmark::State& state) {
   RunRee(state, 4, 2, static_cast<std::size_t>(state.range(0)), 20);
 }
 BENCHMARK(BM_ReeDefinability_SweepLabels)->DenseRange(1, 3);
+
+/// n nodes with pairwise-distinct data values (ρ injective, so every value
+/// class is a single node) on a cycle: node u's one `a`-successor lies one
+/// to three steps ahead. The monoid grows from ~100 elements at n = 16 to
+/// ~650 at n = 64.
+DataGraph InjectiveGraph(std::size_t n) {
+  DataGraph g;
+  LabelId a = g.AddLabel("a");
+  for (std::size_t i = 0; i < n; i++) {
+    g.AddNodeWithValue("v" + std::to_string(i), "n" + std::to_string(i));
+  }
+  SplitMix64 rng(17);
+  for (std::size_t u = 0; u < n; u++) {
+    g.AddEdge(static_cast<NodeId>(u), a,
+              static_cast<NodeId>((u + 1 + rng.NextBelow(3)) % n));
+  }
+  return g;
+}
+
+/// Injective graphs are the extreme of the =/≠ restrictions: each value
+/// class mask holds one bit.
+void BM_ReeDefinability_Injective(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  DataGraph g = InjectiveGraph(n);
+  BinaryRelation s = RandomRelation(n, 20, 4321);
+  std::size_t monoid = 0, levels = 0;
+  for (auto _ : state) {
+    auto result = CheckReeDefinability(g, s);
+    benchmark::DoNotOptimize(result);
+    monoid = result.ValueOrDie().monoid_size;
+    levels = result.ValueOrDie().levels_used;
+  }
+  state.counters["n"] = static_cast<double>(n);
+  state.counters["monoid_size"] = static_cast<double>(monoid);
+  state.counters["elements_per_sec"] =
+      benchmark::Counter(static_cast<double>(monoid),
+                         benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["levels"] = static_cast<double>(levels);
+}
+BENCHMARK(BM_ReeDefinability_Injective)->Arg(16)->Arg(32)->Arg(64);
 
 }  // namespace
 }  // namespace gqd

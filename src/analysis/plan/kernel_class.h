@@ -30,15 +30,12 @@ enum class TransitionKernelClass : std::uint8_t {
   /// Dense successor rows: word-parallel OR of pre-packed kernel rows,
   /// clipped to the target word span.
   kDense,
-  /// REE-only: =/≠ restriction over an all-singleton value partition
-  /// degenerates to a diagonal mask (row_u ∧ {u} / row_u ∖ {u}).
-  kDiagonal,
   /// Classification abstained (no dispatch table); the generic
   /// word-parallel or per-successor path runs instead.
   kGeneric,
 };
 
-inline constexpr std::size_t kNumKernelClasses = 7;
+inline constexpr std::size_t kNumKernelClasses = 6;
 
 /// Stable lower-case name, used in plan dumps and metric labels.
 inline const char* TransitionKernelClassName(TransitionKernelClass cls) {
@@ -53,8 +50,6 @@ inline const char* TransitionKernelClassName(TransitionKernelClass cls) {
       return "sparse";
     case TransitionKernelClass::kDense:
       return "dense";
-    case TransitionKernelClass::kDiagonal:
-      return "diagonal";
     case TransitionKernelClass::kGeneric:
       return "generic";
   }

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/plan/kernel_class.h"
-#include "analysis/plan/plan_metrics.h"
 #include "common/failpoint.h"
 #include "definability/small_relation.h"
 #include "obs/trace.h"
@@ -18,17 +16,13 @@ GQD_FAILPOINT_DEFINE(fp_ree_closure, "ree.closure");
 /// Policy for the generic level algorithm over plain BinaryRelations.
 /// With `masks` set, the =/≠ restrictions run rowized (one word-parallel
 /// AND / AND-NOT per row against the source node's value class); with
-/// `masks == nullptr` they run the retained per-bit reference loops. With
-/// `diagonal` set (planned engine, all value classes singletons) they run
-/// the diagonal forms instead, counting executions into `diagonal_hits`.
+/// `masks == nullptr` they run the retained per-bit reference loops.
 struct BigRelationOps {
   using Rel = BinaryRelation;
   using Hash = BinaryRelationHash;
 
   const DataGraph* graph;
   const ValueClassMasks* masks;
-  bool diagonal = false;
-  std::uint64_t* diagonal_hits = nullptr;
 
   Rel Empty() const { return BinaryRelation(graph->NumNodes()); }
   Rel Identity() const { return BinaryRelation::Identity(graph->NumNodes()); }
@@ -37,17 +31,9 @@ struct BigRelationOps {
   }
   Rel Compose(const Rel& a, const Rel& b) const { return a.Compose(b); }
   Rel Eq(const Rel& a) const {
-    if (diagonal) {
-      (*diagonal_hits)++;
-      return a.EqRestrictDiagonal();
-    }
     return masks != nullptr ? a.EqRestrict(*masks) : a.EqRestrict(*graph);
   }
   Rel Neq(const Rel& a) const {
-    if (diagonal) {
-      (*diagonal_hits)++;
-      return a.NeqRestrictDiagonal();
-    }
     return masks != nullptr ? a.NeqRestrict(*masks) : a.NeqRestrict(*graph);
   }
   bool Subset(const Rel& a, const Rel& b) const { return a.IsSubsetOf(b); }
@@ -59,10 +45,18 @@ struct BigRelationOps {
     std::size_t n = graph->NumNodes();
     return sizeof(Rel) + n * ((n + 63) / 64) * sizeof(std::uint64_t);
   }
+  /// S as an element: borrowed when dense, else expanded into `*storage`.
+  const Rel& Target(const AdaptiveRelation& s, Rel* storage) const {
+    if (s.backend() == RelationBackend::kDense) {
+      return s.dense();
+    }
+    *storage = s.ToDense();
+    return *storage;
+  }
 };
 
 /// Policy over blocked (array/bitmap container) relations — what the
-/// AdaptiveRelation overload runs on for non-dense backends. Every
+/// closure runs on above kDenseRelationMaxNodes nodes. Every
 /// operation produces the same *set* the dense ops produce, and the monoid
 /// interner is semantic (hash + Equal), so the closure enumerates the same
 /// elements in the same order: verdict, levels_used, monoid_size and the
@@ -97,6 +91,14 @@ struct BlockedRelationOps {
   std::size_t ElementBytes(const Rel& rel) const {
     return sizeof(Rel) + rel.ByteSize();
   }
+  /// S as an element: borrowed when blocked, else rebuilt into `*storage`.
+  const Rel& Target(const AdaptiveRelation& s, Rel* storage) const {
+    if (s.backend() == RelationBackend::kBlocked) {
+      return s.blocked();
+    }
+    *storage = BlockedBinaryRelation::FromPairs(s.num_nodes(), s.Pairs());
+    return *storage;
+  }
 };
 
 /// The splitmix64 finalizer. The interner probes from the hash's low bits,
@@ -127,6 +129,12 @@ struct SmallRelationOps {
   void UnionInto(Rel* a, Rel b) const { *a |= b; }
   bool Equal(Rel a, Rel b) const { return a == b; }
   std::size_t ElementBytes(Rel /*rel*/) const { return sizeof(Rel); }
+  const Rel& Target(const AdaptiveRelation& s, Rel* storage) const {
+    *storage = s.backend() == RelationBackend::kDense
+                   ? space->Pack(s.dense())
+                   : space->Pack(s.ToDense());
+    return *storage;
+  }
 };
 
 }  // namespace
@@ -148,7 +156,7 @@ struct ReeMonoidState {
   ReeRepresentation representation = ReeRepresentation::kDense;
   std::optional<SmallRelationSpace> space;  ///< kPacked: packs S to decide
   std::vector<SmallRelation> packed;
-  std::vector<BinaryRelation> dense;  ///< kDense and kDiagonal
+  std::vector<BinaryRelation> dense;
   std::vector<BlockedBinaryRelation> blocked;
   std::vector<ReeDerivation> derivations;
   std::size_t levels_used = 0;
@@ -396,13 +404,13 @@ Status CloseLevels(const Ops& ops, std::size_t num_nodes,
 
 /// The decision of Lemma 30 plus greedy synthesis: S is definable iff it
 /// equals the union of the monoid elements it contains. Reads the monoid
-/// only, so any number of relations can be decided against one closure.
+/// only, so any number of relations can be decided against one closure;
+/// S is converted to the monoid's element type first.
 template <typename Ops>
 ReeDefinabilityResult DecideCover(const Ops& ops,
                                   const std::vector<typename Ops::Rel>& elements,
                                   const ReeMonoidState& state,
-                                  const typename Ops::Rel& target,
-                                  bool target_empty,
+                                  const AdaptiveRelation& relation,
                                   const std::vector<std::string>& label_names) {
   using Rel = typename Ops::Rel;
   ReeDefinabilityResult result;
@@ -416,6 +424,8 @@ ReeDefinabilityResult DecideCover(const Ops& ops,
   const std::vector<ReeDerivation>& derivations = state.derivations;
 
   GQD_TRACE_SPAN(synthesis_span, "ree.synthesize");
+  Rel converted{};
+  const Rel& target = ops.Target(relation, &converted);
   Rel covered = ops.Empty();
   std::vector<std::size_t> cover;
   for (std::size_t i = 0; i < elements.size(); i++) {
@@ -437,7 +447,7 @@ ReeDefinabilityResult DecideCover(const Ops& ops,
     return result;
   }
   result.verdict = DefinabilityVerdict::kDefinable;
-  if (target_empty) {
+  if (relation.Empty()) {
     result.defining_expression = ree::Neq(ree::Epsilon());
     return result;
   }
@@ -498,53 +508,6 @@ ReeDefinabilityResult DecideCover(const Ops& ops,
   return result;
 }
 
-/// True iff ρ is injective (every value class is a single node) — the
-/// planned engine's diagonal case; same answer as
-/// ValueClassMasks::AllSingletons without building the masks.
-bool InjectiveValues(const DataGraph& graph) {
-  std::vector<bool> seen(graph.NumDataValues(), false);
-  for (NodeId v = 0; v < graph.NumNodes(); v++) {
-    std::uint32_t value = graph.DataValueOf(v);
-    if (seen[value]) {
-      return false;
-    }
-    seen[value] = true;
-  }
-  return true;
-}
-
-ReeRepresentation RepresentationFor(const DataGraph& graph,
-                                    bool dense_relation, ReeEngine engine) {
-  if (!dense_relation) {
-    return ReeRepresentation::kBlocked;
-  }
-  if (engine == ReeEngine::kReference) {
-    return ReeRepresentation::kDense;
-  }
-  if (graph.NumNodes() <= 8 && graph.NumNodes() > 0) {
-    return ReeRepresentation::kPacked;
-  }
-  if (InjectiveValues(graph)) {
-    return ReeRepresentation::kDiagonal;
-  }
-  return ReeRepresentation::kDense;
-}
-
-/// Decides a dense S against a packed, dense or diagonal monoid.
-ReeDefinabilityResult DecideDense(const ReeMonoidState& state,
-                                  const DataGraph& graph,
-                                  const BinaryRelation& relation) {
-  const std::vector<std::string>& label_names = graph.labels().names();
-  if (state.representation == ReeRepresentation::kPacked) {
-    SmallRelationOps ops{&*state.space};
-    return DecideCover(ops, state.packed, state, state.space->Pack(relation),
-                       relation.Empty(), label_names);
-  }
-  BigRelationOps ops{&graph, nullptr};
-  return DecideCover(ops, state.dense, state, relation, relation.Empty(),
-                     label_names);
-}
-
 Status CheckNodeCount(const DataGraph& graph, std::size_t relation_nodes) {
   if (relation_nodes != graph.NumNodes()) {
     return Status::InvalidArgument(
@@ -560,10 +523,6 @@ ReeMonoid::ReeMonoid(std::unique_ptr<ReeMonoidState> state)
 ReeMonoid::ReeMonoid(ReeMonoid&&) noexcept = default;
 ReeMonoid& ReeMonoid::operator=(ReeMonoid&&) noexcept = default;
 ReeMonoid::~ReeMonoid() = default;
-
-ReeRepresentation ReeMonoid::representation() const {
-  return state_->representation;
-}
 
 std::size_t ReeMonoid::size() const { return state_->derivations.size(); }
 
@@ -606,11 +565,16 @@ Status ReeMonoid::ChargeReuse(const ResourceBudget* budget) const {
 std::size_t ReeMonoid::HeldBytes() const { return state_->charged_bytes; }
 
 ReeRepresentation ReeRepresentationFor(const DataGraph& graph,
-                                       const AdaptiveRelation& relation,
-                                       const ReeDefinabilityOptions& options) {
-  return RepresentationFor(graph,
-                           relation.backend() == RelationBackend::kDense,
-                           options.engine);
+                                       ReeEngine engine) {
+  const std::size_t n = graph.NumNodes();
+  if (engine == ReeEngine::kReference) {
+    return ReeRepresentation::kDense;
+  }
+  if (n > 0 && n <= 8) {
+    return ReeRepresentation::kPacked;
+  }
+  return n <= kDenseRelationMaxNodes ? ReeRepresentation::kDense
+                                     : ReeRepresentation::kBlocked;
 }
 
 Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
@@ -626,21 +590,6 @@ Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
       state->space.emplace(graph);
       SmallRelationOps ops{&*state->space};
       closed = CloseLevels(ops, n, num_labels, options, state.get());
-      break;
-    }
-    case ReeRepresentation::kDiagonal: {
-      // Planned diagonal kernel: ρ is injective, so the =/≠ restrictions
-      // never need the class masks. Flush executions into the plan metrics
-      // once, alongside the k-REM checker's kernel-class hits.
-      std::uint64_t diagonal_hits = 0;
-      BigRelationOps ops{&graph, nullptr, /*diagonal=*/true, &diagonal_hits};
-      closed = CloseLevels(ops, n, num_labels, options, state.get());
-      if (diagonal_hits != 0) {
-        std::uint64_t hits[kNumKernelClasses] = {};
-        hits[static_cast<std::size_t>(TransitionKernelClass::kDiagonal)] =
-            diagonal_hits;
-        RecordPlanKernelHits(hits);
-      }
       break;
     }
     case ReeRepresentation::kDense: {
@@ -668,53 +617,39 @@ Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const ReeDefinabilityOptions& options) {
-  GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
-  GQD_ASSIGN_OR_RETURN(
-      ReeMonoid monoid,
-      CloseReeMonoid(graph,
-                     RepresentationFor(graph, /*dense_relation=*/true,
-                                       options.engine),
-                     options));
-  return DecideDense(monoid.state(), graph, relation);
+  return CheckReeDefinability(graph, AdaptiveRelation::FromDense(relation),
+                              options);
 }
 
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const ReeDefinabilityOptions& options) {
   GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
-  if (relation.backend() == RelationBackend::kDense) {
-    return CheckReeDefinability(graph, relation.dense(), options);
-  }
   GQD_ASSIGN_OR_RETURN(
       ReeMonoid monoid,
-      CloseReeMonoid(graph, ReeRepresentation::kBlocked, options));
-  return CheckReeDefinability(monoid, graph, relation, options);
+      CloseReeMonoid(graph, ReeRepresentationFor(graph, options.engine),
+                     options));
+  return CheckReeDefinability(monoid, graph, relation);
 }
 
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const ReeMonoid& monoid, const DataGraph& graph,
-    const AdaptiveRelation& relation, const ReeDefinabilityOptions& options) {
+    const AdaptiveRelation& relation) {
   GQD_RETURN_NOT_OK(CheckNodeCount(graph, relation.num_nodes()));
-  if (monoid.representation() !=
-      ReeRepresentationFor(graph, relation, options)) {
-    return Status::InvalidArgument(
-        "the REE monoid was closed in another relation representation");
-  }
   const ReeMonoidState& state = monoid.state();
-  if (state.representation != ReeRepresentation::kBlocked) {
-    return DecideDense(state, graph, relation.dense());
+  const std::vector<std::string>& label_names = graph.labels().names();
+  switch (state.representation) {
+    case ReeRepresentation::kPacked:
+      return DecideCover(SmallRelationOps{&*state.space}, state.packed, state,
+                         relation, label_names);
+    case ReeRepresentation::kDense:
+      return DecideCover(BigRelationOps{&graph, nullptr}, state.dense, state,
+                         relation, label_names);
+    case ReeRepresentation::kBlocked:
+      break;
   }
-  BlockedBinaryRelation converted;
-  const BlockedBinaryRelation* target = &converted;
-  if (relation.backend() == RelationBackend::kBlocked) {
-    target = &relation.blocked();
-  } else {
-    converted = BlockedBinaryRelation::FromPairs(graph.NumNodes(),
-                                                 relation.Pairs());
-  }
-  BlockedRelationOps ops{&graph, nullptr};
-  return DecideCover(ops, state.blocked, state, *target, relation.Empty(),
-                     graph.labels().names());
+  return DecideCover(BlockedRelationOps{&graph, nullptr}, state.blocked,
+                     state, relation, label_names);
 }
 
 }  // namespace gqd

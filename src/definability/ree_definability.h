@@ -18,9 +18,10 @@
 //
 // By Lemma 30, S enters only that final cover test: the level monoid M_∞
 // depends on the graph alone. The checker is therefore split into
-// CloseReeMonoid (per graph and relation representation) and a per-S
-// decision, and `gqd serve` keeps closed monoids on the graph's registry
-// entry so repeated checks over one graph skip the closure.
+// CloseReeMonoid (per graph, in a representation picked from the graph) and
+// a per-S decision that converts S to the monoid's element type, and
+// `gqd serve` keeps one closed monoid on the graph's registry entry so
+// repeated checks over one graph skip the closure, whatever S's backend.
 
 #ifndef GQD_DEFINABILITY_REE_DEFINABILITY_H_
 #define GQD_DEFINABILITY_REE_DEFINABILITY_H_
@@ -48,10 +49,8 @@ namespace gqd {
 /// oracle for the planned one (see tests/test_definability_diff).
 enum class ReeEngine {
   /// Packed 64-bit relations when n ≤ 8, else word-parallel value-class
-  /// restrictions (ValueClassMasks) over bitset rows — with the query-plan
-  /// analyzer's diagonal specialization when every value class is a single
-  /// node (ρ injective): S= degenerates to row_u ∧ {u} and S≠ to clearing
-  /// bit u, no class masks touched. The default.
+  /// restrictions (ValueClassMasks) over bitset rows, or over blocked
+  /// relations above kDenseRelationMaxNodes. The default.
   kPlanned,
   /// Generic BinaryRelation ops with per-bit =/≠ restriction loops — the
   /// shape of the original implementation, kept as an oracle.
@@ -62,11 +61,11 @@ struct ReeDefinabilityOptions {
   /// Maximum number of distinct relations to materialize in the monoid
   /// (0 = unlimited). A secondary cap; max_monoid_bytes is the primary
   /// guard because blocked-relation elements vary in size by orders of
-  /// magnitude, so a count bounds memory only for dense backends.
+  /// magnitude, so a count bounds memory only for packed and dense ones.
   std::size_t max_monoid_size = 200'000;
   /// Maximum bytes of monoid storage (0 = unlimited), accounted by each
   /// element's *actual* representation size (BlockedBinaryRelation's
-  /// heap footprint for sparse backends, the n²-bit matrix for dense)
+  /// heap footprint when blocked, the n²-bit matrix when dense)
   /// through an internal ResourceBudget. Tripping either monoid cap stops
   /// the closure cleanly with verdict kBudgetExhausted and a populated
   /// `partial` report (stage "ree-monoid").
@@ -99,33 +98,30 @@ struct ReeDefinabilityResult {
 };
 
 /// The relation representation a level closure runs on. M_∞ is the same
-/// set in every representation; element layouts differ, so a closed
-/// monoid decides only relations checked in its own representation.
+/// set in every representation; a closed monoid decides a relation held by
+/// any backend, converting it to its own element type for the cover test.
 enum class ReeRepresentation : std::uint8_t {
-  /// One 64-bit word per relation: n ≤ 8 and a dense S.
+  /// One 64-bit word per relation: 0 < n ≤ 8.
   kPacked,
   /// n row bitsets; =/≠ through value-class masks (per-bit loops under
   /// ReeEngine::kReference).
   kDense,
-  /// n row bitsets with ρ injective, so =/≠ are the diagonal forms (the
-  /// planned engine's specialization).
-  kDiagonal,
-  /// Array/bitmap containers: S held by a sparse or blocked backend.
+  /// Array/bitmap containers: n > kDenseRelationMaxNodes, where n row
+  /// bitsets per element would not fit.
   kBlocked,
 };
 
-/// The representation CheckReeDefinability closes the monoid in for this
-/// graph, relation backend and engine.
+/// The representation CheckReeDefinability closes the monoid of `graph` in:
+/// packed for 0 < n ≤ 8, dense up to kDenseRelationMaxNodes, blocked above
+/// it, and dense for every n under ReeEngine::kReference.
 ReeRepresentation ReeRepresentationFor(const DataGraph& graph,
-                                       const AdaptiveRelation& relation,
-                                       const ReeDefinabilityOptions& options);
+                                       ReeEngine engine = ReeEngine::kPlanned);
 
 struct ReeMonoidState;
 
-/// A closed level monoid M_∞ (Definition 27) of one graph in one
-/// representation: its elements, their REE derivations, the levels the
-/// closure used and the exact bytes and elements it charged. Immutable;
-/// safe to share across threads.
+/// A closed level monoid M_∞ (Definition 27) of one graph: its elements,
+/// their REE derivations, the levels the closure used and the exact bytes
+/// and elements it charged. Immutable; safe to share across threads.
 class ReeMonoid {
  public:
   explicit ReeMonoid(std::unique_ptr<ReeMonoidState> state);
@@ -133,7 +129,6 @@ class ReeMonoid {
   ReeMonoid& operator=(ReeMonoid&&) noexcept;
   ~ReeMonoid();
 
-  ReeRepresentation representation() const;
   /// Elements (each charged one tuple to options.budget).
   std::size_t size() const;
   /// True when the closure reached its fixpoint under the default caps. A
@@ -173,31 +168,26 @@ Result<ReeMonoid> CloseReeMonoid(const DataGraph& graph,
                                  const ReeDefinabilityOptions& options = {});
 
 /// Decides whether `relation` is definable by an RDPQ_= on `graph`: closes
-/// the monoid (CloseReeMonoid) and runs the cover test on it.
+/// the monoid (CloseReeMonoid) in ReeRepresentationFor(graph,
+/// options.engine) and runs the cover test on it.
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const ReeDefinabilityOptions& options = {});
 
-/// Same decision on a density-adaptive relation. A dense backend delegates
-/// to the overload above; sparse/blocked backends run the level closure on
-/// blocked (array/bitmap container) relations, whose compose streams
-/// per-source frontiers instead of materializing n² intermediates. The
-/// monoid interner is semantic, so verdict, levels_used, monoid_size and
-/// the synthesized expression are identical across backends (the `engine`
-/// option only matters on the dense path).
+/// Same decision on a density-adaptive relation. The monoid interner is
+/// semantic, so verdict, levels_used, monoid_size and the synthesized
+/// expression do not depend on the relation's backend.
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const ReeDefinabilityOptions& options = {});
 
 /// The decision alone (Lemma 30's cover test plus synthesis) against a
-/// prebuilt `monoid` of `graph`; InvalidArgument unless its representation
-/// is ReeRepresentationFor(graph, relation, options). Charges nothing: a
-/// caller reusing a monoid closed for another check calls
-/// monoid.ChargeReuse first.
+/// prebuilt `monoid` of `graph`, in any representation and for a relation
+/// on any backend. Charges nothing: a caller reusing a monoid closed for
+/// another check calls monoid.ChargeReuse first.
 Result<ReeDefinabilityResult> CheckReeDefinability(
     const ReeMonoid& monoid, const DataGraph& graph,
-    const AdaptiveRelation& relation,
-    const ReeDefinabilityOptions& options = {});
+    const AdaptiveRelation& relation);
 
 }  // namespace gqd
 

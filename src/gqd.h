@@ -48,7 +48,6 @@
 #include "regex/parser.h"  // IWYU pragma: export
 #include "rem/ast.h"                 // IWYU pragma: export
 #include "rem/condition.h"           // IWYU pragma: export
-#include "rem/naive_semantics.h"     // IWYU pragma: export
 #include "rem/parser.h"              // IWYU pragma: export
 #include "rem/register_automaton.h"  // IWYU pragma: export
 #include "ree/ast.h"         // IWYU pragma: export
@@ -87,7 +86,6 @@
 #include "definability/assignment_graph.h"     // IWYU pragma: export
 #include "definability/krem_definability.h"    // IWYU pragma: export
 #include "definability/ree_definability.h"     // IWYU pragma: export
-#include "definability/rem_via_rpq.h"          // IWYU pragma: export
 #include "definability/rpq_definability.h"     // IWYU pragma: export
 #include "definability/ucrdpq_definability.h"  // IWYU pragma: export
 #include "definability/verdict.h"              // IWYU pragma: export

@@ -16,15 +16,6 @@ ValueClassMasks::ValueClassMasks(const DataGraph& graph) {
   }
 }
 
-bool ValueClassMasks::AllSingletons() const {
-  for (const DynamicBitset& mask : masks_) {
-    if (mask.Count() > 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 BinaryRelation BinaryRelation::Identity(std::size_t n) {
   BinaryRelation r(n);
   for (NodeId v = 0; v < n; v++) {
@@ -156,24 +147,6 @@ BinaryRelation BinaryRelation::NeqRestrict(const ValueClassMasks& masks) const {
   BinaryRelation result = *this;
   for (NodeId u = 0; u < n_; u++) {
     result.rows_[u] -= masks.ClassOf(u);
-  }
-  return result;
-}
-
-BinaryRelation BinaryRelation::EqRestrictDiagonal() const {
-  BinaryRelation result(n_);
-  for (NodeId u = 0; u < n_; u++) {
-    if (rows_[u].Test(u)) {
-      result.rows_[u].Set(u);
-    }
-  }
-  return result;
-}
-
-BinaryRelation BinaryRelation::NeqRestrictDiagonal() const {
-  BinaryRelation result = *this;
-  for (NodeId u = 0; u < n_; u++) {
-    result.rows_[u].Reset(u);
   }
   return result;
 }

@@ -39,12 +39,6 @@ class ValueClassMasks {
     return masks_[value_of_[u]];
   }
 
-  /// True iff every value class is a single node (ρ is injective). Then
-  /// ρ(u) = ρ(v) ⟺ u = v, so the =/≠ restrictions degenerate to the
-  /// diagonal forms (EqRestrictDiagonal / NeqRestrictDiagonal) — the
-  /// query-plan analyzer's cheapest REE kernel.
-  bool AllSingletons() const;
-
  private:
   std::vector<std::uint32_t> value_of_;
   std::vector<DynamicBitset> masks_;
@@ -109,13 +103,6 @@ class BinaryRelation {
 
   /// Rowized S≠ : row u becomes row_u ∖ class(u).
   BinaryRelation NeqRestrict(const ValueClassMasks& masks) const;
-
-  /// S= when every value class is a singleton (ValueClassMasks::
-  /// AllSingletons): keeps only the diagonal pairs, row u ∧ {u}.
-  BinaryRelation EqRestrictDiagonal() const;
-
-  /// S≠ when every value class is a singleton: clears bit u of row u.
-  BinaryRelation NeqRestrictDiagonal() const;
 
   /// Intersection (not one of the paper's operators, but used by checkers).
   BinaryRelation& IntersectWith(const BinaryRelation& other);

@@ -46,9 +46,9 @@ bool ParseRelationBackend(const std::string& name, RelationBackend* out) {
 }
 
 RelationBackend ChooseRelationBackend(std::size_t n, std::size_t nnz) {
-  // Small matrices are cheap in absolute terms (n ≤ 4096 ⇒ ≤ 2 MB) and the
-  // dense word-parallel kernels are the fastest engines there.
-  if (n <= 4096) {
+  // Small matrices are cheap in absolute terms and the dense word-parallel
+  // kernels are the fastest engines there.
+  if (n <= kDenseRelationMaxNodes) {
     return RelationBackend::kDense;
   }
   // At density ≥ 1/32 the blocked rows are mostly bitmaps anyway, so the

@@ -24,6 +24,7 @@
 #define GQD_GRAPH_SPARSE_RELATION_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -51,10 +52,15 @@ const char* RelationBackendName(RelationBackend backend);
 /// and sets `*out` on success.
 bool ParseRelationBackend(const std::string& name, RelationBackend* out);
 
+/// Up to this many nodes a dense matrix costs at most 2 MB, so
+/// ChooseRelationBackend always picks it, and the REE level closure runs on
+/// dense rows; above it the closure runs on blocked relations.
+inline constexpr std::size_t kDenseRelationMaxNodes = 4096;
+
 /// Picks the representation for an n-node relation with `nnz` pairs. Dense
-/// while the matrix is small in absolute terms (n ≤ 4096 ⇒ ≤ 2 MB) or the
-/// relation is dense enough that containers cannot beat it; sparse while
-/// rows average only a handful of entries; blocked in between.
+/// while the matrix is small in absolute terms (n ≤ kDenseRelationMaxNodes)
+/// or the relation is dense enough that containers cannot beat it; sparse
+/// while rows average only a handful of entries; blocked in between.
 RelationBackend ChooseRelationBackend(std::size_t n, std::size_t nnz);
 
 /// Admission estimate, in bytes, of building the given backend for an

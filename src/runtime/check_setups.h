@@ -3,8 +3,9 @@
 // Two structures the definability checkers build depend on the graph only,
 // never on the relation S: the k-assignment graph T_G of Definition 19 with
 // its kernel dispatch table (KRemSetup, keyed by k; rpq uses k = 0), and
-// the REE level monoid M_∞ of Definition 27 (ReeMonoid, keyed by relation
-// representation — Lemma 30 consults S only in the final cover test). A
+// the REE level monoid M_∞ of Definition 27 (ReeMonoid, one per graph —
+// Lemma 30 consults S only in the final cover test, which converts S to
+// the monoid's representation whatever its backend). A
 // CheckSetups hangs off each GraphRegistry entry and is filled lazily by
 // QueryService::HandleCheck: setups are built outside the lock by the
 // request that missed, and the first insert for a key wins.
@@ -22,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <variant>
 
 #include "definability/krem_definability.h"
 #include "definability/ree_definability.h"
@@ -64,7 +66,7 @@ class SetupSlots {
 /// The setups held for one registered graph.
 struct CheckSetups {
   SetupSlots<std::size_t, KRemSetup> krem;  ///< by k
-  SetupSlots<ReeRepresentation, ReeMonoid> ree;
+  SetupSlots<std::monostate, ReeMonoid> ree;  ///< the graph's one M_∞
 
   std::size_t held_bytes() const {
     return krem.held_bytes() + ree.held_bytes();

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/pass_manager.h"
@@ -23,7 +24,7 @@
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "storage/metrics.h"
+#include "storage/relation_store.h"
 #include "ree/parser.h"
 #include "regex/parser.h"
 #include "rem/parser.h"
@@ -636,31 +637,15 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     }
   }
   const std::size_t n = entry.graph->NumNodes();
-  RelationBackend resolved = backend_choice == RelationBackend::kAuto
-                                 ? ChooseRelationBackend(n, pairs.size())
-                                 : backend_choice;
-  if (budget != nullptr) {
-    budget->ChargeBytes(static_cast<std::int64_t>(
-        EstimateRelationBytes(resolved, n, pairs.size())));
-    if (Status admitted = budget->Check(); !admitted.ok()) {
-      RelationCounters::Instance().admission_refusals.fetch_add(
-          1, std::memory_order_relaxed);
-      return Status::ResourceExhausted(
-          std::string("relation admission: ") +
-          RelationBackendName(resolved) + " backend over " +
-          std::to_string(n) + " nodes exceeds the request byte budget");
-    }
+  RelationAdmission admission =
+      AdmitRelation(n, std::move(pairs), backend_choice, budget);
+  if (!admission.status.ok()) {
+    return Status::ResourceExhausted(
+        std::string("relation admission: ") +
+        RelationBackendName(admission.backend) + " backend over " +
+        std::to_string(n) + " nodes exceeds the request byte budget");
   }
-  auto build_start = std::chrono::steady_clock::now();
-  AdaptiveRelation relation =
-      AdaptiveRelation::FromPairs(n, std::move(pairs), backend_choice);
-  NoteRelationBackendSelected(relation.backend());
-  RelationCounters::Instance().build_micros.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - build_start)
-              .count()),
-      std::memory_order_relaxed);
+  const AdaptiveRelation& relation = admission.relation;
 
   JsonValue::Object body;
   body.emplace_back("checker", checker);
@@ -726,20 +711,20 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
     ReeDefinabilityOptions options;
     options.cancel = cancel;
     options.budget = budget;
-    // The level monoid depends on the graph and representation only
-    // (Lemma 30); S enters the cover test alone.
-    ReeRepresentation representation =
-        ReeRepresentationFor(graph, relation, options);
+    // The level monoid depends on the graph only (Lemma 30); S enters the
+    // cover test alone, whatever its backend.
     GQD_ASSIGN_OR_RETURN(
         std::shared_ptr<const ReeMonoid> monoid,
-        AcquireSetup(&entry.setups->ree, representation, options,
+        AcquireSetup(&entry.setups->ree, std::monostate{}, options,
                      CheckSetupKind::kRee, &stats_, [&] {
-                       return CloseReeMonoid(graph, representation, options);
+                       return CloseReeMonoid(
+                           graph, ReeRepresentationFor(graph, options.engine),
+                           options);
                      }));
     GQD_ASSIGN_OR_RETURN(
         ReeDefinabilityResult result,
         monoid != nullptr
-            ? CheckReeDefinability(*monoid, graph, relation, options)
+            ? CheckReeDefinability(*monoid, graph, relation)
             : CheckReeDefinability(graph, relation, options));
     body.emplace_back("verdict",
                       std::string(DefinabilityVerdictToString(

@@ -209,4 +209,42 @@ bool IsRelationContainerFile(const std::string& path) {
   return in.gcount() == sizeof(magic) && magic == kRelationContainerMagic;
 }
 
+RelationAdmission AdmitRelation(std::size_t num_nodes,
+                                std::vector<std::pair<NodeId, NodeId>> pairs,
+                                RelationBackend choice,
+                                const ResourceBudget* budget) {
+  RelationAdmission admission;
+  admission.backend = choice == RelationBackend::kAuto
+                          ? ChooseRelationBackend(num_nodes, pairs.size())
+                          : choice;
+  admission.estimate_bytes =
+      EstimateRelationBytes(admission.backend, num_nodes, pairs.size());
+  if (budget != nullptr) {
+    budget->ChargeBytes(static_cast<std::int64_t>(admission.estimate_bytes));
+    admission.status = budget->Check();
+    if (!admission.status.ok()) {
+      RelationCounters::Instance().admission_refusals.fetch_add(
+          1, std::memory_order_relaxed);
+      return admission;
+    }
+  }
+  GQD_TRACE_SPAN(build_span, "relation.build");
+  const auto build_start = Clock::now();
+  admission.relation =
+      AdaptiveRelation::FromPairs(num_nodes, std::move(pairs), choice);
+  NoteRelationBackendSelected(admission.relation.backend());
+  RelationCounters::Instance().build_micros.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::now() - build_start)
+              .count()),
+      std::memory_order_relaxed);
+  // Attrs are numeric; the backend is recorded as its enum value
+  // (0 auto, 1 dense, 2 sparse, 3 blocked).
+  GQD_TRACE_SPAN_ATTR(build_span, "backend", admission.relation.backend());
+  GQD_TRACE_SPAN_ATTR(build_span, "nnz", admission.relation.Nnz());
+  GQD_TRACE_SPAN_ATTR(build_span, "bytes", admission.relation.ByteSize());
+  return admission;
+}
+
 }  // namespace gqd

@@ -32,8 +32,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/budget.h"
 #include "common/status.h"
 #include "graph/data_graph.h"
+#include "graph/sparse_relation.h"
 #include "storage/format.h"
 
 namespace gqd {
@@ -99,6 +101,29 @@ Result<StoredRelation> OpenRelationContainer(
 
 /// True iff `path` starts with the relation container magic.
 bool IsRelationContainerFile(const std::string& path);
+
+/// A check's relation after admission: built when `status` is OK.
+struct RelationAdmission {
+  /// The backend chosen for the relation (never kAuto).
+  RelationBackend backend = RelationBackend::kDense;
+  /// EstimateRelationBytes of that backend, charged to the budget.
+  std::size_t estimate_bytes = 0;
+  /// OK, or the budget's refusal; nothing is built when refused.
+  Status status;
+  AdaptiveRelation relation;
+};
+
+/// Admits and builds the relation of one definability check, for the CLI
+/// and serve alike: resolves `choice` (kAuto: ChooseRelationBackend over
+/// the pair count), charges the backend's estimated bytes to `budget` when
+/// there is one and refuses before building if that exhausts it (counted
+/// in RelationCounters::admission_refusals), else builds the relation,
+/// notes its backend and adds its build time to RelationCounters. Traced
+/// as `relation.build`.
+RelationAdmission AdmitRelation(std::size_t num_nodes,
+                                std::vector<std::pair<NodeId, NodeId>> pairs,
+                                RelationBackend choice,
+                                const ResourceBudget* budget);
 
 }  // namespace gqd
 

@@ -1,4 +1,4 @@
-#include "rem/naive_semantics.h"
+#include "oracles/naive_semantics.h"
 
 #include <algorithm>
 #include <cassert>

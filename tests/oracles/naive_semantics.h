@@ -8,8 +8,8 @@
 // against it on enumerated paths, so a bug in the Thompson-style compiler
 // cannot hide.
 
-#ifndef GQD_REM_NAIVE_SEMANTICS_H_
-#define GQD_REM_NAIVE_SEMANTICS_H_
+#ifndef GQD_TESTS_ORACLES_NAIVE_SEMANTICS_H_
+#define GQD_TESTS_ORACLES_NAIVE_SEMANTICS_H_
 
 #include <set>
 #include <utility>
@@ -34,4 +34,4 @@ bool NaiveRemMatches(const RemPtr& expression, const DataPath& path,
 
 }  // namespace gqd
 
-#endif  // GQD_REM_NAIVE_SEMANTICS_H_
+#endif  // GQD_TESTS_ORACLES_NAIVE_SEMANTICS_H_

@@ -1,4 +1,4 @@
-#include "definability/rem_via_rpq.h"
+#include "oracles/rem_via_rpq.h"
 
 #include <algorithm>
 #include <numeric>

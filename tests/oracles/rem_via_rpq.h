@@ -20,8 +20,8 @@
 // instead. Here it serves as an independent cross-check of
 // CheckRemDefinability (see test_rem_via_rpq.cc) and as the E10 ablation.
 
-#ifndef GQD_DEFINABILITY_REM_VIA_RPQ_H_
-#define GQD_DEFINABILITY_REM_VIA_RPQ_H_
+#ifndef GQD_TESTS_ORACLES_REM_VIA_RPQ_H_
+#define GQD_TESTS_ORACLES_REM_VIA_RPQ_H_
 
 #include "common/status.h"
 #include "definability/krem_definability.h"
@@ -64,4 +64,4 @@ Result<RemViaRpqResult> CheckRemDefinabilityViaRpq(
 
 }  // namespace gqd
 
-#endif  // GQD_DEFINABILITY_REM_VIA_RPQ_H_
+#endif  // GQD_TESTS_ORACLES_REM_VIA_RPQ_H_

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/data_path.h"
-#include "rem/naive_semantics.h"
+#include "oracles/naive_semantics.h"
 #include "rem/parser.h"
 #include "rem/register_automaton.h"
 

@@ -124,13 +124,9 @@ TEST(KernelDispatch, ClassifiesEveryTransition) {
   }
   EXPECT_EQ(census, table.num_store_masks() * table.num_labels() *
                         (std::size_t{1} << ag.value().k()));
-  // kGeneric and kDiagonal never appear in a built table — generic means
-  // "no table", diagonal is the REE-side class.
+  // kGeneric never appears in a built table — generic means "no table".
   EXPECT_EQ(table.class_counts()[static_cast<std::size_t>(
                 TransitionKernelClass::kGeneric)],
-            0u);
-  EXPECT_EQ(table.class_counts()[static_cast<std::size_t>(
-                TransitionKernelClass::kDiagonal)],
             0u);
 }
 

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "definability/rem_via_rpq.h"
 #include "graph/generators.h"
+#include "oracles/rem_via_rpq.h"
 
 namespace gqd {
 namespace {

@@ -123,7 +123,17 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
     std::this_thread::yield();
   }
   EXPECT_EQ(counter.load(), kTasks);
+  // A worker counts a task as executed only after the task returns, so the
+  // last `done` increment can be seen before the pool's own counter: wait
+  // (bounded) for the counter to catch up rather than racing it.
   ThreadPool::Stats stats = pool.GetStats();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stats.tasks_executed < static_cast<std::uint64_t>(kTasks) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    stats = pool.GetStats();
+  }
   EXPECT_EQ(stats.num_threads, 4u);
   EXPECT_EQ(stats.tasks_executed, static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(stats.queued_tasks, 0u);

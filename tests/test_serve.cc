@@ -833,15 +833,13 @@ TEST(CheckSetupReuse, ColdAndWarmResponsesAreByteIdentical) {
         EstimateRelationBytes(ChooseRelationBackend(n, nnz), n, nnz);
     std::uint64_t setup_bytes = 0;
     std::uint64_t setup_tuples = 0;
-    AdaptiveRelation adaptive =
-        AdaptiveRelation::FromPairs(n, s.Pairs(), RelationBackend::kAuto);
     if (c.checker == "ree") {
-      // One REE case per representation a dense S can take.
+      // The packed and dense representations, the latter also on an
+      // injective graph.
       const ReeRepresentation expected[] = {ReeRepresentation::kDense,
                                             ReeRepresentation::kPacked,
-                                            ReeRepresentation::kDiagonal};
-      ReeRepresentation representation =
-          ReeRepresentationFor(g.graph, adaptive, {});
+                                            ReeRepresentation::kDense};
+      ReeRepresentation representation = ReeRepresentationFor(g.graph);
       EXPECT_EQ(representation, expected[c.graph]);
       auto monoid = CloseReeMonoid(g.graph, representation);
       ASSERT_TRUE(monoid.ok()) << monoid.status();
@@ -929,6 +927,34 @@ TEST(CheckSetupReuse, ReloadedNameNeverReusesItsOldSetup) {
   fresh.registry().Register("g", std::move(again));
   EXPECT_EQ(krem, Handle(&fresh, CheckLine("g", "krem", 1, relation)));
   EXPECT_EQ(ree, Handle(&fresh, CheckLine("g", "ree", 0, relation)));
+}
+
+TEST(CheckSetupReuse, OneReeMonoidDecidesEveryRelationBackend) {
+  // M_∞ depends on the graph alone, so the monoid a dense-S check closed
+  // decides a sparse S too, and answers as a fresh service does.
+  DataGraph g = Figure1Graph();
+  std::string relation = WriteRelationText(g, Figure1S2(g));
+  auto request = JsonValue::Parse(CheckLine("g", "ree", 0, relation))
+                     .ValueOrDie()
+                     .AsObject();
+  request.emplace_back("relation_backend", "sparse");
+  const std::string sparse_line = JsonValue(std::move(request)).Serialize();
+
+  QueryService service;
+  service.registry().Register("g", DataGraph(g));
+  std::string dense = Handle(&service, CheckLine("g", "ree", 0, relation));
+  EXPECT_NE(dense.find("\"relation_backend\":\"dense\""), std::string::npos)
+      << dense;
+  std::string sparse = Handle(&service, sparse_line);
+  EXPECT_NE(sparse.find("\"relation_backend\":\"sparse\""),
+            std::string::npos)
+      << sparse;
+  EXPECT_EQ(SetupCount(&service, "ree", "miss"), 1);
+  EXPECT_EQ(SetupCount(&service, "ree", "hit"), 1);
+
+  QueryService cold;
+  cold.registry().Register("g", std::move(g));
+  EXPECT_EQ(sparse, Handle(&cold, sparse_line));
 }
 
 TEST(CheckThreads, HugeThreadCountAnswersLikeOneThread) {

@@ -31,9 +31,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -242,6 +244,52 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Parses `text` as a decimal integer in [0, max]: digits only, so empty
+/// input, signs, blanks, unit suffixes and overflow are all refused.
+bool ParseUnsigned(const char* text, std::uint64_t max, std::uint64_t* out) {
+  if (*text == '\0') {
+    return false;
+  }
+  std::uint64_t value = 0;
+  for (const char* c = text; *c != '\0'; c++) {
+    if (*c < '0' || *c > '9') {
+      return false;
+    }
+    const std::uint64_t digit = static_cast<std::uint64_t>(*c - '0');
+    if (value > max / 10 || value * 10 > max - digit) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+/// Stores `text`, the value of `flag`, into `*out` if it is an integer in
+/// [0, largest T]; otherwise says so on stderr and returns false, and the
+/// caller answers with Usage() (exit 2). A std::uint16_t port therefore
+/// refuses 70000 instead of wrapping it.
+template <typename T>
+bool ParseUnsignedArg(const char* flag, const char* text, T* out) {
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  std::uint64_t value = 0;
+  if (!ParseUnsigned(text, max, &value)) {
+    std::fprintf(stderr, "error: %s takes an integer in [0, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
+/// ParseUnsignedArg on `--flag N` when present; `*out` keeps its default
+/// when the flag is absent.
+template <typename T>
+bool UnsignedFlag(int argc, char** argv, const char* flag, T* out) {
+  const char* text = FlagValue(argc, argv, flag);
+  return text == nullptr || ParseUnsignedArg(flag, text, out);
+}
+
 /// Extracts `--trace-out <file>` or `--trace-out=<file>`; empty when absent.
 std::string TraceOutPath(int argc, char** argv) {
   for (int i = 0; i < argc; i++) {
@@ -290,24 +338,22 @@ class TraceWriter {
 
 /// Emplaces a ResourceBudget from --max-bytes (and, when
 /// `tuples_axis` is set, --max-tuples); leaves `*budget` empty when
-/// neither flag is present.
-void BudgetFromFlags(int argc, char** argv,
+/// neither flag is present. False on a malformed value (see
+/// ParseUnsignedArg).
+bool BudgetFromFlags(int argc, char** argv,
                      std::optional<ResourceBudget>* budget,
                      bool tuples_axis) {
-  const char* max_bytes_flag = FlagValue(argc, argv, "--max-bytes");
-  std::uint64_t max_bytes =
-      max_bytes_flag != nullptr ? std::strtoull(max_bytes_flag, nullptr, 10)
-                                : 0;
+  std::uint64_t max_bytes = 0;
   std::uint64_t max_tuples = 0;
-  if (tuples_axis) {
-    const char* max_tuples_flag = FlagValue(argc, argv, "--max-tuples");
-    if (max_tuples_flag != nullptr) {
-      max_tuples = std::strtoull(max_tuples_flag, nullptr, 10);
-    }
+  if (!UnsignedFlag(argc, argv, "--max-bytes", &max_bytes) ||
+      (tuples_axis &&
+       !UnsignedFlag(argc, argv, "--max-tuples", &max_tuples))) {
+    return false;
   }
   if (max_bytes > 0 || max_tuples > 0) {
     budget->emplace(max_bytes, max_tuples);
   }
+  return true;
 }
 
 /// Prints a checker's partial-progress report (budget trips) to stderr and
@@ -342,7 +388,9 @@ int CmdEval(int argc, char** argv) {
   // Optional resource budget; an exceeded budget exits 4 with a
   // ResourceExhausted error instead of exhausting host memory.
   std::optional<ResourceBudget> budget;
-  BudgetFromFlags(argc - 3, argv + 3, &budget, /*tuples_axis=*/true);
+  if (!BudgetFromFlags(argc - 3, argv + 3, &budget, /*tuples_axis=*/true)) {
+    return Usage();
+  }
   EvalOptions eval_options;
   eval_options.budget = budget.has_value() ? &budget.value() : nullptr;
   BinaryRelation result(graph.NumNodes());
@@ -447,23 +495,47 @@ int CmdCheck(int argc, char** argv) {
   }
   TraceWriter trace(TraceOutPath(argc, argv));
   auto check_start = std::chrono::steady_clock::now();
+  // Flags first: a malformed one is a usage error (exit 2) before any work.
+  // --max-bytes attaches a byte budget: a trip stops the checker with
+  // verdict budget-exhausted plus a partial-progress report, and exit 4.
+  std::optional<ResourceBudget> budget;
+  RelationBackend backend_choice = RelationBackend::kAuto;
+  const char* backend_flag = FlagValue(argc, argv, "--relation-backend");
+  const char* language_flag = FlagValue(argc, argv, "--language");
+  std::string language = language_flag != nullptr ? language_flag : "all";
+  std::size_t k = 2;
+  KRemDefinabilityOptions krem_options;
+  ReeDefinabilityOptions ree_options;
+  if (!BudgetFromFlags(argc, argv, &budget, /*tuples_axis=*/false) ||
+      (backend_flag != nullptr &&
+       !ParseRelationBackend(backend_flag, &backend_choice)) ||
+      !UnsignedFlag(argc, argv, "--k", &k) ||
+      !UnsignedFlag(argc, argv, "--threads", &krem_options.num_threads) ||
+      !UnsignedFlag(argc, argv, "--max-tuples", &krem_options.max_tuples)) {
+    return Usage();
+  }
+  if (language != "all" && language != "rpq" && language != "rem" &&
+      language != "ree" && language != "ucrdpq") {
+    std::fprintf(stderr, "error: unknown --language '%s'\n",
+                 language.c_str());
+    return Usage();
+  }
+  if (FlagValue(argc, argv, "--max-tuples") != nullptr) {
+    ree_options.max_monoid_size = krem_options.max_tuples;
+  }
+  bool json = HasFlag(argc, argv, "--json");
+  const ResourceBudget* budget_ptr =
+      budget.has_value() ? &budget.value() : nullptr;
+  krem_options.budget = budget_ptr;
+  ree_options.budget = budget_ptr;
+  UcrdpqDefinabilityOptions ucrdpq_options;
+  ucrdpq_options.csp.budget = budget_ptr;
+
   auto loaded = LoadGraph(argv[0]);
   if (!loaded.ok()) {
     return Fail(loaded.status());
   }
   const DataGraph& graph = *loaded.value().graph;
-  // --max-bytes attaches a byte budget: a trip stops the checker with
-  // verdict budget-exhausted plus a partial-progress report, and exit 4.
-  std::optional<ResourceBudget> budget;
-  BudgetFromFlags(argc, argv, &budget, /*tuples_axis=*/false);
-  const ResourceBudget* budget_ptr =
-      budget.has_value() ? &budget.value() : nullptr;
-  RelationBackend backend_choice = RelationBackend::kAuto;
-  const char* backend_flag = FlagValue(argc, argv, "--relation-backend");
-  if (backend_flag != nullptr &&
-      !ParseRelationBackend(backend_flag, &backend_choice)) {
-    return Usage();
-  }
   // The pair list is O(nnz) memory whichever source format it comes from;
   // only once nnz is known can the representation be chosen and its cost
   // admitted against the budget — a budgeted dense check over a
@@ -476,64 +548,18 @@ int CmdCheck(int argc, char** argv) {
   }
   const std::size_t n = graph.NumNodes();
   const std::size_t nnz = pairs.value().size();
-  RelationBackend resolved = backend_choice == RelationBackend::kAuto
-                                 ? ChooseRelationBackend(n, nnz)
-                                 : backend_choice;
-  const std::size_t estimate = EstimateRelationBytes(resolved, n, nnz);
-  if (budget_ptr != nullptr) {
-    budget_ptr->ChargeBytes(static_cast<std::int64_t>(estimate));
-    if (Status admitted = budget_ptr->Check(); !admitted.ok()) {
-      RelationCounters::Instance().admission_refusals.fetch_add(
-          1, std::memory_order_relaxed);
-      std::fprintf(stderr,
-                   "admission: %s relation backend estimated at %zu bytes"
-                   " (n=%zu, nnz=%zu); try --relation-backend"
-                   " sparse|blocked or a larger --max-bytes\n",
-                   RelationBackendName(resolved), estimate, n, nnz);
-      return Fail(admitted);
-    }
+  RelationAdmission admission = AdmitRelation(
+      n, std::move(pairs).value(), backend_choice, budget_ptr);
+  if (!admission.status.ok()) {
+    std::fprintf(stderr,
+                 "admission: %s relation backend estimated at %zu bytes"
+                 " (n=%zu, nnz=%zu); try --relation-backend"
+                 " sparse|blocked or a larger --max-bytes\n",
+                 RelationBackendName(admission.backend),
+                 admission.estimate_bytes, n, nnz);
+    return Fail(admission.status);
   }
-  AdaptiveRelation relation;
-  {
-    GQD_TRACE_SPAN(build_span, "relation.build");
-    auto build_start = std::chrono::steady_clock::now();
-    relation = AdaptiveRelation::FromPairs(n, std::move(pairs).value(),
-                                           backend_choice);
-    auto build_elapsed = std::chrono::steady_clock::now() - build_start;
-    NoteRelationBackendSelected(relation.backend());
-    RelationCounters::Instance().build_micros.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                build_elapsed)
-                .count()),
-        std::memory_order_relaxed);
-    // Attrs are numeric; the backend is recorded as its enum value
-    // (0 auto, 1 dense, 2 sparse, 3 blocked).
-    GQD_TRACE_SPAN_ATTR(build_span, "backend", relation.backend());
-    GQD_TRACE_SPAN_ATTR(build_span, "nnz", relation.Nnz());
-    GQD_TRACE_SPAN_ATTR(build_span, "bytes", relation.ByteSize());
-  }
-  const char* language_flag = FlagValue(argc, argv, "--language");
-  std::string language = language_flag != nullptr ? language_flag : "all";
-  const char* k_flag = FlagValue(argc, argv, "--k");
-  std::size_t k = k_flag != nullptr ? std::strtoul(k_flag, nullptr, 10) : 2;
-  bool json = HasFlag(argc, argv, "--json");
-
-  KRemDefinabilityOptions krem_options;
-  ReeDefinabilityOptions ree_options;
-  const char* threads_flag = FlagValue(argc, argv, "--threads");
-  if (threads_flag != nullptr) {
-    krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  const char* max_tuples_flag = FlagValue(argc, argv, "--max-tuples");
-  if (max_tuples_flag != nullptr) {
-    krem_options.max_tuples = std::strtoul(max_tuples_flag, nullptr, 10);
-    ree_options.max_monoid_size = krem_options.max_tuples;
-  }
-  krem_options.budget = budget_ptr;
-  ree_options.budget = budget_ptr;
-  UcrdpqDefinabilityOptions ucrdpq_options;
-  ucrdpq_options.csp.budget = budget_ptr;
+  const AdaptiveRelation& relation = admission.relation;
 
   int exit_code = 0;
   std::vector<std::pair<std::string, DefinabilityVerdict>> verdicts;
@@ -611,6 +637,23 @@ int CmdSynth(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
+  const char* language_flag = FlagValue(argc, argv, "--language");
+  if (language_flag == nullptr) {
+    return Usage();
+  }
+  std::string language = language_flag;
+  std::size_t k = 2;
+  bool simplify = HasFlag(argc, argv, "--simplify");
+  KRemDefinabilityOptions krem_options;
+  ReeDefinabilityOptions ree_options;
+  // Budget governs the definability search inside synthesis; a trip
+  // surfaces as verdict budget-exhausted, i.e. "no query synthesized".
+  std::optional<ResourceBudget> budget;
+  if (!UnsignedFlag(argc, argv, "--k", &k) ||
+      !UnsignedFlag(argc, argv, "--threads", &krem_options.num_threads) ||
+      !BudgetFromFlags(argc, argv, &budget, /*tuples_axis=*/false)) {
+    return Usage();
+  }
   auto loaded = LoadGraph(argv[0]);
   if (!loaded.ok()) {
     return Fail(loaded.status());
@@ -620,25 +663,6 @@ int CmdSynth(int argc, char** argv) {
   if (!relation.ok()) {
     return Fail(relation.status());
   }
-  const char* language_flag = FlagValue(argc, argv, "--language");
-  if (language_flag == nullptr) {
-    return Usage();
-  }
-  std::string language = language_flag;
-  const char* k_flag = FlagValue(argc, argv, "--k");
-  std::size_t k = k_flag != nullptr ? std::strtoul(k_flag, nullptr, 10) : 2;
-  bool simplify = HasFlag(argc, argv, "--simplify");
-
-  KRemDefinabilityOptions krem_options;
-  ReeDefinabilityOptions ree_options;
-  const char* threads_flag = FlagValue(argc, argv, "--threads");
-  if (threads_flag != nullptr) {
-    krem_options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  // Budget governs the definability search inside synthesis; a trip
-  // surfaces as verdict budget-exhausted, i.e. "no query synthesized".
-  std::optional<ResourceBudget> budget;
-  BudgetFromFlags(argc, argv, &budget, /*tuples_axis=*/false);
   const ResourceBudget* budget_ptr =
       budget.has_value() ? &budget.value() : nullptr;
   krem_options.budget = budget_ptr;
@@ -841,8 +865,35 @@ int CmdGen(int argc, char** argv) {
   if (out_path == nullptr) {
     return Usage();
   }
-  const char* seed_flag = FlagValue(argc, argv, "--seed");
-  const char* values_flag = FlagValue(argc, argv, "--values");
+  std::uint64_t seed = 1;
+  std::uint64_t draws = 0;
+  ScaleFreeOptions scale_free;
+  GridOptions grid;
+  if (!UnsignedFlag(argc, argv, "--seed", &seed) ||
+      !UnsignedFlag(argc, argv, "--pairs", &draws) ||
+      !UnsignedFlag(argc, argv, "--nodes", &scale_free.num_nodes) ||
+      !UnsignedFlag(argc, argv, "--edges-per-node",
+                    &scale_free.edges_per_node) ||
+      !UnsignedFlag(argc, argv, "--labels", &scale_free.num_labels) ||
+      !UnsignedFlag(argc, argv, "--values", &scale_free.num_data_values) ||
+      !UnsignedFlag(argc, argv, "--values", &grid.num_data_values) ||
+      !UnsignedFlag(argc, argv, "--rows", &grid.rows) ||
+      !UnsignedFlag(argc, argv, "--cols", &grid.cols)) {
+    return Usage();
+  }
+  double density = 4.0;  // --density D: pairs drawn per node on average
+  if (const char* text = FlagValue(argc, argv, "--density")) {
+    char* end = nullptr;
+    density = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(density) ||
+        density < 0) {
+      std::fprintf(stderr,
+                   "error: --density takes a non-negative number, got '%s'\n",
+                   text);
+      return Usage();
+    }
+  }
+  scale_free.seed = grid.seed = seed;
   if (kind == "relation") {
     // `gqd gen relation --graph FILE --out FILE [--pairs N | --density D
     // | --word a.b] [--seed S] [--text]` — deterministic candidate
@@ -866,8 +917,6 @@ int CmdGen(int argc, char** argv) {
     if (n == 0) {
       return Fail(Status::InvalidArgument("cannot sample over an empty graph"));
     }
-    std::uint64_t seed =
-        seed_flag != nullptr ? std::strtoull(seed_flag, nullptr, 10) : 1;
     std::vector<std::pair<NodeId, NodeId>> pairs;
     const char* word_flag = FlagValue(argc, argv, "--word");
     if (word_flag != nullptr) {
@@ -914,14 +963,7 @@ int CmdGen(int argc, char** argv) {
         }
       }
     } else {
-      std::uint64_t draws = 0;
-      const char* pairs_flag = FlagValue(argc, argv, "--pairs");
-      const char* density_flag = FlagValue(argc, argv, "--density");
-      if (pairs_flag != nullptr) {
-        draws = std::strtoull(pairs_flag, nullptr, 10);
-      } else {
-        double density =
-            density_flag != nullptr ? std::strtod(density_flag, nullptr) : 4.0;
+      if (FlagValue(argc, argv, "--pairs") == nullptr) {
         draws = static_cast<std::uint64_t>(density * static_cast<double>(n));
       }
       SplitMix64 rng(seed);
@@ -962,45 +1004,11 @@ int CmdGen(int argc, char** argv) {
   }
   auto emit = [&](GraphSink* sink) {
     if (kind == "scale-free") {
-      ScaleFreeOptions options;
-      const char* nodes_flag = FlagValue(argc, argv, "--nodes");
-      if (nodes_flag != nullptr) {
-        options.num_nodes = std::strtoul(nodes_flag, nullptr, 10);
-      }
-      const char* epn_flag = FlagValue(argc, argv, "--edges-per-node");
-      if (epn_flag != nullptr) {
-        options.edges_per_node = std::strtoul(epn_flag, nullptr, 10);
-      }
-      const char* labels_flag = FlagValue(argc, argv, "--labels");
-      if (labels_flag != nullptr) {
-        options.num_labels = std::strtoul(labels_flag, nullptr, 10);
-      }
-      if (values_flag != nullptr) {
-        options.num_data_values = std::strtoul(values_flag, nullptr, 10);
-      }
-      if (seed_flag != nullptr) {
-        options.seed = std::strtoull(seed_flag, nullptr, 10);
-      }
-      GenerateScaleFree(options, sink);
+      GenerateScaleFree(scale_free, sink);
       return true;
     }
     if (kind == "grid") {
-      GridOptions options;
-      const char* rows_flag = FlagValue(argc, argv, "--rows");
-      if (rows_flag != nullptr) {
-        options.rows = std::strtoul(rows_flag, nullptr, 10);
-      }
-      const char* cols_flag = FlagValue(argc, argv, "--cols");
-      if (cols_flag != nullptr) {
-        options.cols = std::strtoul(cols_flag, nullptr, 10);
-      }
-      if (values_flag != nullptr) {
-        options.num_data_values = std::strtoul(values_flag, nullptr, 10);
-      }
-      if (seed_flag != nullptr) {
-        options.seed = std::strtoull(seed_flag, nullptr, 10);
-      }
-      GenerateGrid(options, sink);
+      GenerateGrid(grid, sink);
       return true;
     }
     return false;
@@ -1074,9 +1082,10 @@ int CmdCompile(int argc, char** argv) {
       e.value(), &labels, /*intern_new_labels=*/graph == nullptr);
 
   if (graph != nullptr) {
-    const char* k_flag = FlagValue(argc - 1, argv + 1, "--k");
-    std::size_t k = k_flag != nullptr ? std::strtoul(k_flag, nullptr, 10)
-                                      : plan.num_registers;
+    std::size_t k = plan.num_registers;
+    if (!UnsignedFlag(argc - 1, argv + 1, "--k", &k)) {
+      return Usage();
+    }
     // The dispatch census needs the packed pattern vocabulary (k <= 4);
     // beyond that the checkers run the reference engine anyway.
     if (k <= 4) {
@@ -1320,37 +1329,23 @@ std::string GraphNameFromPath(const std::string& path) {
 }
 
 int CmdServe(int argc, char** argv) {
-  const char* port_flag = FlagValue(argc, argv, "--port");
-  const char* threads_flag = FlagValue(argc, argv, "--threads");
-  const char* cache_flag = FlagValue(argc, argv, "--cache");
   ServiceOptions options;
-  if (threads_flag != nullptr) {
-    options.num_threads = std::strtoul(threads_flag, nullptr, 10);
-  }
-  if (cache_flag != nullptr) {
-    options.cache_capacity = std::strtoul(cache_flag, nullptr, 10);
-  }
+  ServerOptions server_options;
+  std::uint16_t port = 7878;
   // Load shedding: --max-concurrent enables the admission gate,
   // --max-queue bounds the wait line behind it (excess requests get an
   // Unavailable error with a --retry-after-ms hint).
-  const char* max_concurrent_flag = FlagValue(argc, argv, "--max-concurrent");
-  if (max_concurrent_flag != nullptr) {
-    options.admission.max_concurrent =
-        std::strtoul(max_concurrent_flag, nullptr, 10);
-  }
-  const char* max_queue_flag = FlagValue(argc, argv, "--max-queue");
-  if (max_queue_flag != nullptr) {
-    options.admission.max_queue = std::strtoul(max_queue_flag, nullptr, 10);
-  }
-  const char* retry_after_flag = FlagValue(argc, argv, "--retry-after-ms");
-  if (retry_after_flag != nullptr) {
-    options.admission.retry_after_ms =
-        static_cast<std::int64_t>(std::strtoul(retry_after_flag, nullptr, 10));
-  }
-  ServerOptions server_options;
-  const char* max_line_flag = FlagValue(argc, argv, "--max-line-bytes");
-  if (max_line_flag != nullptr) {
-    server_options.max_line_bytes = std::strtoul(max_line_flag, nullptr, 10);
+  if (!UnsignedFlag(argc, argv, "--port", &port) ||
+      !UnsignedFlag(argc, argv, "--threads", &options.num_threads) ||
+      !UnsignedFlag(argc, argv, "--cache", &options.cache_capacity) ||
+      !UnsignedFlag(argc, argv, "--max-concurrent",
+                    &options.admission.max_concurrent) ||
+      !UnsignedFlag(argc, argv, "--max-queue", &options.admission.max_queue) ||
+      !UnsignedFlag(argc, argv, "--retry-after-ms",
+                    &options.admission.retry_after_ms) ||
+      !UnsignedFlag(argc, argv, "--max-line-bytes",
+                    &server_options.max_line_bytes)) {
+    return Usage();
   }
   QueryService service(options);
   // Preload every --graph file under its basename. LoadFile goes through
@@ -1368,10 +1363,6 @@ int CmdServe(int argc, char** argv) {
                  name.c_str(), entry.value().fingerprint.c_str(),
                  GraphBackendName(entry.value().info.backend));
   }
-  std::uint16_t port = port_flag != nullptr
-                           ? static_cast<std::uint16_t>(
-                                 std::strtoul(port_flag, nullptr, 10))
-                           : 7878;
   Server server(&service, server_options);
   Status started = server.Start(port);
   if (!started.ok()) {
@@ -1388,43 +1379,35 @@ int CmdRoute(int argc, char** argv) {
   RouterOptions options;
   for (int i = 0; i + 1 < argc; i++) {
     if (std::strcmp(argv[i], "--worker") == 0) {
-      options.worker_ports.push_back(
-          static_cast<std::uint16_t>(std::strtoul(argv[i + 1], nullptr, 10)));
+      std::uint16_t worker = 0;
+      if (!ParseUnsignedArg("--worker", argv[i + 1], &worker)) {
+        return Usage();
+      }
+      options.worker_ports.push_back(worker);
     }
   }
   if (options.worker_ports.empty()) {
     return Usage();
   }
-  if (const char* flag = FlagValue(argc, argv, "--replication")) {
-    options.replication = std::strtoul(flag, nullptr, 10);
-  }
-  if (const char* flag = FlagValue(argc, argv, "--pool")) {
-    options.pool_size = std::strtoul(flag, nullptr, 10);
-  }
-  if (const char* flag = FlagValue(argc, argv, "--probe-interval-ms")) {
-    options.probe_interval_ms =
-        static_cast<int>(std::strtoul(flag, nullptr, 10));
-  }
-  if (const char* flag = FlagValue(argc, argv, "--suspect-threshold")) {
-    options.suspect_threshold =
-        static_cast<int>(std::strtoul(flag, nullptr, 10));
-  }
-  if (const char* flag = FlagValue(argc, argv, "--retry-after-ms")) {
-    options.retry_after_ms = static_cast<int>(std::strtoul(flag, nullptr, 10));
-  }
-  if (const char* flag = FlagValue(argc, argv, "--warm-log")) {
-    options.warm_log_capacity = std::strtoul(flag, nullptr, 10);
-  }
-  if (const char* flag = FlagValue(argc, argv, "--exemplars")) {
-    options.exemplar_capacity = std::strtoul(flag, nullptr, 10);
+  ServerOptions server_options;
+  std::uint16_t port = 7879;
+  if (!UnsignedFlag(argc, argv, "--port", &port) ||
+      !UnsignedFlag(argc, argv, "--replication", &options.replication) ||
+      !UnsignedFlag(argc, argv, "--pool", &options.pool_size) ||
+      !UnsignedFlag(argc, argv, "--probe-interval-ms",
+                    &options.probe_interval_ms) ||
+      !UnsignedFlag(argc, argv, "--suspect-threshold",
+                    &options.suspect_threshold) ||
+      !UnsignedFlag(argc, argv, "--retry-after-ms", &options.retry_after_ms) ||
+      !UnsignedFlag(argc, argv, "--warm-log", &options.warm_log_capacity) ||
+      !UnsignedFlag(argc, argv, "--exemplars", &options.exemplar_capacity) ||
+      !UnsignedFlag(argc, argv, "--max-line-bytes",
+                    &server_options.max_line_bytes)) {
+    return Usage();
   }
   // Router --trace-out collects *merged* cluster traces (router + worker
   // spans per sampled request), written when the router shuts down.
   options.trace_out = TraceOutPath(argc, argv);
-  ServerOptions server_options;
-  if (const char* flag = FlagValue(argc, argv, "--max-line-bytes")) {
-    server_options.max_line_bytes = std::strtoul(flag, nullptr, 10);
-  }
   Router router(options);
   Status started_router = router.Start();
   if (!started_router.ok()) {
@@ -1451,11 +1434,6 @@ int CmdRoute(int argc, char** argv) {
     }
     std::fprintf(stderr, "routed graph '%s' across the fleet\n", name.c_str());
   }
-  std::uint16_t port =
-      FlagValue(argc, argv, "--port") != nullptr
-          ? static_cast<std::uint16_t>(
-                std::strtoul(FlagValue(argc, argv, "--port"), nullptr, 10))
-          : 7879;
   Server front(&router, server_options);
   Status started = front.Start(port);
   if (!started.ok()) {
@@ -1508,27 +1486,27 @@ class BenchWorkerHandler : public LineHandler {
 /// router's warm replay), and the exit code demands zero client-visible
 /// errors and bit-identical verdicts across replicas and the failover.
 int CmdBenchServeCluster(int argc, char** argv) {
-  std::size_t num_workers =
-      std::strtoul(FlagValue(argc, argv, "--workers"), nullptr, 10);
-  if (num_workers == 0) {
+  std::size_t num_workers = 0;
+  if (!UnsignedFlag(argc, argv, "--workers", &num_workers) ||
+      num_workers == 0) {
     return Usage();
   }
   bool json = HasFlag(argc, argv, "--json");
   bool chaos_kill = HasFlag(argc, argv, "--chaos-kill");
-  const char* clients_flag = FlagValue(argc, argv, "--clients");
-  const char* requests_flag = FlagValue(argc, argv, "--requests");
-  std::size_t num_clients = clients_flag != nullptr
-                                ? std::strtoul(clients_flag, nullptr, 10)
-                                : 4 * num_workers;
-  std::size_t requests_per_client =
-      requests_flag != nullptr ? std::strtoul(requests_flag, nullptr, 10)
-                               : 100;
-  if (num_clients == 0 || requests_per_client == 0) {
-    return Usage();
-  }
+  std::size_t num_clients = 4 * num_workers;
+  std::size_t requests_per_client = 100;
   int service_ms = 4;
-  if (const char* flag = FlagValue(argc, argv, "--service-ms")) {
-    service_ms = static_cast<int>(std::strtoul(flag, nullptr, 10));
+  RouterOptions router_options;
+  router_options.replication = std::min<std::size_t>(2, num_workers);
+  router_options.pool_size = 2;
+  if (!UnsignedFlag(argc, argv, "--clients", &num_clients) ||
+      !UnsignedFlag(argc, argv, "--requests", &requests_per_client) ||
+      !UnsignedFlag(argc, argv, "--service-ms", &service_ms) ||
+      !UnsignedFlag(argc, argv, "--replication",
+                    &router_options.replication) ||
+      !UnsignedFlag(argc, argv, "--pool", &router_options.pool_size) ||
+      num_clients == 0 || requests_per_client == 0) {
+    return Usage();
   }
 
   // Workers: plain QueryServices behind the service-time wrapper.
@@ -1547,17 +1525,8 @@ int CmdBenchServeCluster(int argc, char** argv) {
     }
   }
 
-  RouterOptions router_options;
   for (const auto& worker : workers) {
     router_options.worker_ports.push_back(worker->port());
-  }
-  router_options.replication = std::min<std::size_t>(2, num_workers);
-  if (const char* flag = FlagValue(argc, argv, "--replication")) {
-    router_options.replication = std::strtoul(flag, nullptr, 10);
-  }
-  router_options.pool_size = 2;
-  if (const char* flag = FlagValue(argc, argv, "--pool")) {
-    router_options.pool_size = std::strtoul(flag, nullptr, 10);
   }
   // Fast failure detection so the kill window stays small relative to the
   // run: dead after 2 failed probes, 25 ms apart.
@@ -1854,41 +1823,31 @@ int CmdBenchServe(int argc, char** argv) {
   if (FlagValue(argc, argv, "--workers") != nullptr) {
     return CmdBenchServeCluster(argc, argv);
   }
-  const char* port_flag = FlagValue(argc, argv, "--port");
-  const char* clients_flag = FlagValue(argc, argv, "--clients");
-  const char* requests_flag = FlagValue(argc, argv, "--requests");
   bool json = HasFlag(argc, argv, "--json");
   // Overload mode: --max-concurrent/--max-queue configure the self-hosted
   // server's admission gate; --retry makes clients use CallWithRetry so
   // shed requests back off and complete instead of counting as errors.
   bool retry = HasFlag(argc, argv, "--retry");
-  std::size_t num_clients =
-      clients_flag != nullptr ? std::strtoul(clients_flag, nullptr, 10) : 4;
-  std::size_t requests_per_client =
-      requests_flag != nullptr ? std::strtoul(requests_flag, nullptr, 10)
-                               : 200;
-  if (num_clients == 0 || requests_per_client == 0) {
+  std::size_t num_clients = 4;
+  std::size_t requests_per_client = 200;
+  std::uint16_t port = 0;
+  ServiceOptions service_options;
+  if (!UnsignedFlag(argc, argv, "--clients", &num_clients) ||
+      !UnsignedFlag(argc, argv, "--requests", &requests_per_client) ||
+      !UnsignedFlag(argc, argv, "--port", &port) ||
+      !UnsignedFlag(argc, argv, "--max-concurrent",
+                    &service_options.admission.max_concurrent) ||
+      !UnsignedFlag(argc, argv, "--max-queue",
+                    &service_options.admission.max_queue) ||
+      num_clients == 0 || requests_per_client == 0) {
     return Usage();
   }
 
   // Self-host unless pointed at a running server.
-  ServiceOptions service_options;
-  const char* max_concurrent_flag = FlagValue(argc, argv, "--max-concurrent");
-  if (max_concurrent_flag != nullptr) {
-    service_options.admission.max_concurrent =
-        std::strtoul(max_concurrent_flag, nullptr, 10);
-  }
-  const char* max_queue_flag = FlagValue(argc, argv, "--max-queue");
-  if (max_queue_flag != nullptr) {
-    service_options.admission.max_queue =
-        std::strtoul(max_queue_flag, nullptr, 10);
-  }
+  const bool self_hosted = FlagValue(argc, argv, "--port") == nullptr;
   QueryService service{service_options};
   Server server(&service);
-  std::uint16_t port;
-  if (port_flag != nullptr) {
-    port = static_cast<std::uint16_t>(std::strtoul(port_flag, nullptr, 10));
-  } else {
+  if (self_hosted) {
     Status started = server.Start(0);
     if (!started.ok()) {
       return Fail(started);
@@ -2001,7 +1960,7 @@ int CmdBenchServe(int argc, char** argv) {
       wall_ms > 0 ? static_cast<double>(all.size()) / (wall_ms / 1000.0)
                   : 0.0;
 
-  if (port_flag == nullptr) {
+  if (self_hosted) {
     LineClient stop;
     if (stop.Connect(port).ok()) {
       (void)stop.Call("{\"cmd\":\"shutdown\"}");
