@@ -4,11 +4,11 @@
 #include <cassert>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/plan/kernel_dispatch.h"
@@ -46,41 +46,36 @@ std::uint64_t HashTupleWords(const std::uint64_t* words, std::size_t count) {
   return seed;
 }
 
-/// Flat macro-tuple arena with an open-addressed semantic interner, shared
-/// by both tuple stores. A tuple is a span of words: fixed-width for the
-/// dense store (tuple t at [t·width, (t+1)·width)), variable-width for the
-/// sparse store (sorted entry lists delimited by an offsets array). The
-/// probe table holds only (hash, index) — the words are never duplicated
-/// into a key. Each interned tuple charges the budget its words plus its
-/// bookkeeping: the stored hash and, for variable-width tuples, the offset.
+/// Macro-tuple storage with an open-addressed semantic interner, shared by
+/// both tuple stores. A tuple is a span of words — fixed-width for the
+/// dense store, a sorted entry list of any length for the sparse store —
+/// kept whole in one chunk. Chunks are never reallocated, so a tuple's span
+/// stays valid for the interner's lifetime, however many tuples follow.
+/// The probe table holds only (hash, index) — the words are never
+/// duplicated into a key. Each interned tuple charges the budget its words
+/// plus its bookkeeping: the stored hash and, for variable-width tuples,
+/// the offset.
 class TupleInterner {
  public:
   /// `width` words per tuple, or 0 for variable-width tuples.
   TupleInterner(std::size_t width, const ResourceBudget* budget)
       : width_(width), slots_(64, 0), budget_(budget) {
-    if (width_ == 0) {
-      offsets_.push_back(0);
-    }
     if (budget_ != nullptr) {
       budget_->ChargeBytes(
           static_cast<std::int64_t>(slots_.size() * sizeof(std::size_t)));
     }
   }
 
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return tuples_.size(); }
 
   /// True once an injected fault (failpoint krem.arena.grow) hit a growth
   /// path; the BFS surfaces it at the next frontier boundary. The store
   /// itself stays consistent — the probe table just stops growing.
   bool fault() const { return fault_; }
 
-  /// Tuple `index`'s words; invalidated by an inserting Intern.
+  /// Tuple `index`'s words.
   std::span<const std::uint64_t> At(std::size_t index) const {
-    if (width_ != 0) {
-      return {words_.data() + index * width_, width_};
-    }
-    return {words_.data() + offsets_[index],
-            offsets_[index + 1] - offsets_[index]};
+    return tuples_[index];
   }
 
   /// Returns the index of the tuple equal to `tuple`, interning a copy
@@ -102,11 +97,8 @@ class TupleInterner {
       }
       pos = (pos + 1) & mask;
     }
-    std::size_t index = count_++;
-    words_.insert(words_.end(), tuple.begin(), tuple.end());
-    if (width_ == 0) {
-      offsets_.push_back(words_.size());
-    }
+    std::size_t index = tuples_.size();
+    tuples_.push_back(Store(tuple));
     hashes_.push_back(hash);
     slots_[pos] = index + 1;
     if (budget_ != nullptr) {
@@ -115,7 +107,7 @@ class TupleInterner {
           (tuple.size() + bookkeeping) * sizeof(std::uint64_t)));
       budget_->ChargeTuples(1);
     }
-    if ((count_ + 1) * 4 > slots_.size() * 3) {
+    if ((tuples_.size() + 1) * 4 > slots_.size() * 3) {
       Grow();
     }
     *inserted = true;
@@ -123,6 +115,28 @@ class TupleInterner {
   }
 
  private:
+  /// Chunks double from the first tuple's size up to this many words
+  /// (1 MiB); a tuple larger than that gets a chunk of its own size.
+  static constexpr std::size_t kMaxChunkWords = std::size_t{1} << 17;
+
+  /// Copies `tuple` into the current chunk, opening a new one when it does
+  /// not fit; returns the copy.
+  std::span<const std::uint64_t> Store(std::span<const std::uint64_t> tuple) {
+    if (chunk_capacity_ - chunk_used_ < tuple.size()) {
+      chunk_capacity_ = std::max(
+          tuple.size(), chunks_.empty()
+                            ? tuple.size()
+                            : std::min(2 * chunk_capacity_, kMaxChunkWords));
+      chunks_.push_back(
+          std::make_unique_for_overwrite<std::uint64_t[]>(chunk_capacity_));
+      chunk_used_ = 0;
+    }
+    std::uint64_t* copy = chunks_.back().get() + chunk_used_;
+    std::copy(tuple.begin(), tuple.end(), copy);
+    chunk_used_ += tuple.size();
+    return {copy, tuple.size()};
+  }
+
   void Grow() {
     if (GQD_FAILPOINT_FIRED(fp_krem_arena_grow)) {
       fault_ = true;
@@ -134,7 +148,7 @@ class TupleInterner {
           (bigger.size() - slots_.size()) * sizeof(std::size_t)));
     }
     std::size_t mask = bigger.size() - 1;
-    for (std::size_t index = 0; index < count_; index++) {
+    for (std::size_t index = 0; index < tuples_.size(); index++) {
       std::size_t pos = static_cast<std::size_t>(hashes_[index]) & mask;
       while (bigger[pos] != 0) {
         pos = (pos + 1) & mask;
@@ -145,11 +159,12 @@ class TupleInterner {
   }
 
   std::size_t width_;
-  std::vector<std::uint64_t> words_;
-  std::vector<std::size_t> offsets_;  ///< width 0: t spans [off[t], off[t+1])
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+  std::size_t chunk_capacity_ = 0;  ///< words in chunks_.back()
+  std::size_t chunk_used_ = 0;      ///< of which tuples fill this many
+  std::vector<std::span<const std::uint64_t>> tuples_;  ///< into chunks_
   std::vector<std::uint64_t> hashes_;
   std::vector<std::size_t> slots_;  ///< index+1, 0 = empty; pow-2 size
-  std::size_t count_ = 0;
   const ResourceBudget* budget_;
   bool fault_ = false;
 };
@@ -757,28 +772,47 @@ class SparseStore {
   std::vector<std::size_t> row_begin_;
 };
 
-/// One witness per pair, in Pairs() order: pair j's blocks are the path from
-/// the initial tuple to its solution tuple along parent links. Each
-/// distinct solution tuple's path is walked once.
-std::vector<KRemWitness> Witnesses(const PairBook& book,
-                                   const std::vector<std::size_t>& parent,
-                                   const std::vector<BasicRemBlock>& incoming) {
-  std::unordered_map<std::size_t, std::vector<BasicRemBlock>> paths;
-  std::vector<KRemWitness> witnesses;
-  witnesses.reserve(book.pairs.size());
-  for (std::size_t j = 0; j < book.pairs.size(); j++) {
-    std::size_t index = book.solution[j];
-    auto [path, walked] = paths.try_emplace(index);
-    if (walked) {
+/// Fills result->witnesses (one per pair, in Pairs() order) and
+/// result->paths: pair j's blocks are the path from the initial tuple to
+/// its solution tuple along parent links. Each distinct solution tuple's
+/// path is stored once, in first-occurrence order, in one shared run of
+/// blocks that every pair it solves views.
+void Witnesses(const PairBook& book, const std::vector<std::size_t>& parent,
+               const std::vector<BasicRemBlock>& incoming,
+               KRemDefinabilityResult* result) {
+  constexpr std::size_t kNoPath = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> path_of(parent.size(), kNoPath);
+  std::vector<std::size_t> tuples;  ///< each path's solution tuple
+  std::vector<std::size_t> ends;    ///< each path's end in the block run
+  std::size_t total = 0;
+  for (std::size_t index : book.solution) {
+    if (path_of[index] == kNoPath) {
+      path_of[index] = tuples.size();
+      tuples.push_back(index);
       for (std::size_t at = index; at != 0; at = parent[at]) {
-        path->second.push_back(incoming[at]);
+        total++;
       }
-      std::reverse(path->second.begin(), path->second.end());
+      ends.push_back(total);
     }
-    witnesses.push_back(
-        KRemWitness{book.pairs[j].first, book.pairs[j].second, path->second});
   }
-  return witnesses;
+  auto blocks = std::make_shared<std::vector<BasicRemBlock>>(total);
+  std::size_t begin = 0;
+  result->paths.reserve(tuples.size());
+  for (std::size_t p = 0; p < tuples.size(); p++) {
+    std::size_t at = tuples[p];
+    for (std::size_t slot = ends[p]; slot > begin; at = parent[at]) {
+      (*blocks)[--slot] = incoming[at];
+    }
+    result->paths.emplace_back(blocks->data() + begin, ends[p] - begin);
+    begin = ends[p];
+  }
+  result->witnesses.reserve(book.pairs.size());
+  for (std::size_t j = 0; j < book.pairs.size(); j++) {
+    std::size_t path = path_of[book.solution[j]];
+    result->witnesses.push_back(KRemWitness{
+        book.pairs[j].first, book.pairs[j].second, result->paths[path], path});
+  }
+  result->path_blocks = std::move(blocks);
 }
 
 /// Successor-generation workers for a search that asked for `requested`:
@@ -978,9 +1012,8 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
     }
     if (pool.has_value()) {
       // Generate every block of up to batch_heads known heads in one
-      // parallel round. The store is read-only until all workers finish
-      // (interning happens only in the merge below), so At() spans stay
-      // valid throughout the round.
+      // parallel round; interning happens only in the merge below, once
+      // every worker has finished.
       std::size_t batch = std::min(batch_heads, tuples.size() - head);
       std::size_t num_workers = std::min(pool->num_threads(), batch);
       std::mutex done_mutex;
@@ -1047,8 +1080,6 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
           if (options.cancel != nullptr && options.cancel->Expired()) {
             return options.cancel->Check();
           }
-          // Generate reads the head to completion before the merge interns
-          // anything, so arena growth cannot invalidate it.
           store->Generate(tuples.At(head), mask, label, &scratch[0]);
           if (scratch[0].expired) {
             return options.cancel->Check();
@@ -1081,7 +1112,7 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
   }
 
   result.verdict = DefinabilityVerdict::kDefinable;
-  result.witnesses = Witnesses(*book, parent, incoming);
+  Witnesses(*book, parent, incoming, &result);
   return result;
 }
 
@@ -1238,7 +1269,7 @@ Result<KRemDefinabilityResult> CheckRemDefinability(
                                options);
 }
 
-RemPtr BasicRemFromBlocks(const std::vector<BasicRemBlock>& blocks,
+RemPtr BasicRemFromBlocks(std::span<const BasicRemBlock> blocks,
                           std::size_t k, const StringInterner& labels) {
   if (blocks.empty()) {
     return rem::Epsilon();

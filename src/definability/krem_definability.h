@@ -19,7 +19,9 @@
 #ifndef GQD_DEFINABILITY_KREM_DEFINABILITY_H_
 #define GQD_DEFINABILITY_KREM_DEFINABILITY_H_
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/plan/kernel_dispatch.h"
@@ -37,11 +39,16 @@
 namespace gqd {
 
 /// A k-REM witness for one pair of S: the block sequence of a basic k-REM
-/// (empty sequence = the ε expression, witnessing diagonal pairs).
+/// (empty sequence = the ε expression, witnessing diagonal pairs). Every
+/// pair accepted by one macro tuple has the same witness (Lemma 21), so
+/// `blocks` views that tuple's path in its KRemDefinabilityResult, which
+/// keeps the blocks alive (copies of the result included).
 struct KRemWitness {
   NodeId from;
   NodeId to;
-  std::vector<BasicRemBlock> blocks;
+  std::span<const BasicRemBlock> blocks;
+  /// Index of `blocks` in KRemDefinabilityResult::paths.
+  std::size_t path;
 };
 
 /// Which successor machinery the dense tuple store runs on. Both engines
@@ -116,8 +123,16 @@ struct KRemDefinabilityOptions {
 
 struct KRemDefinabilityResult {
   DefinabilityVerdict verdict = DefinabilityVerdict::kBudgetExhausted;
-  /// One witness per pair of S (populated iff verdict == kDefinable).
+  /// One witness per pair of S, in Pairs() order (populated iff verdict ==
+  /// kDefinable).
   std::vector<KRemWitness> witnesses;
+  /// Each distinct witness path once — one per macro tuple that accepted
+  /// some pair — in the order of the first pair it witnesses. Distinct
+  /// tuples have distinct paths, so no two entries are equal.
+  std::vector<std::span<const BasicRemBlock>> paths;
+  /// Owns the blocks `paths` and `witnesses` view, one run per path;
+  /// shared, so every copy of the result keeps its views valid.
+  std::shared_ptr<const std::vector<BasicRemBlock>> path_blocks;
   /// Macro tuples explored (the E2 bench's cost measure).
   std::size_t tuples_explored = 0;
   /// Set iff an options.budget trip stopped the search: how far it got.
@@ -232,7 +247,7 @@ Result<KRemDefinabilityResult> CheckRemDefinability(
 /// Materializes a witness's block sequence as a basic k-REM AST
 /// (Definition 16); the empty sequence yields ε. Conditions equal to the
 /// full minterm set and empty store sets are omitted for readability.
-RemPtr BasicRemFromBlocks(const std::vector<BasicRemBlock>& blocks,
+RemPtr BasicRemFromBlocks(std::span<const BasicRemBlock> blocks,
                           std::size_t k, const StringInterner& labels);
 
 }  // namespace gqd

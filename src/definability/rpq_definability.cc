@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/trace.h"
@@ -119,38 +118,21 @@ Result<RpqDefinabilityResult> CheckRpqImpl(
   result.tuples_explored = krem.tuples_explored;
   result.partial = std::move(krem.partial);
   if (krem.verdict == DefinabilityVerdict::kDefinable) {
-    // Pairs solved by one tuple share its block path: convert each distinct
-    // path to a word once (keyed by a hash of its letters) and copy it.
-    std::unordered_map<std::uint64_t, std::size_t> first_with_word;
-    auto same_letters = [](const std::vector<BasicRemBlock>& blocks,
-                           const std::vector<LabelId>& word) {
-      return std::equal(blocks.begin(), blocks.end(), word.begin(),
-                        word.end(),
-                        [](const BasicRemBlock& block, LabelId a) {
-                          return block.label == a;
-                        });
-    };
+    // At k = 0 a block is a bare letter, and distinct paths are distinct
+    // words.
+    result.words.reserve(krem.paths.size());
+    for (std::span<const BasicRemBlock> path : krem.paths) {
+      std::vector<LabelId>& word = result.words.emplace_back();
+      word.reserve(path.size());
+      for (const BasicRemBlock& block : path) {
+        assert(block.store_mask == 0);
+        word.push_back(block.label);
+      }
+    }
     result.witness_words.reserve(krem.witnesses.size());
     for (const KRemWitness& witness : krem.witnesses) {
-      std::uint64_t hash = witness.blocks.size();
-      for (const BasicRemBlock& block : witness.blocks) {
-        assert(block.store_mask == 0);
-        hash = (hash ^ block.label) * 0x100000001b3ull;
-      }
-      auto [it, fresh] =
-          first_with_word.try_emplace(hash, result.witness_words.size());
-      std::vector<LabelId> word;
-      if (!fresh && same_letters(witness.blocks,
-                                 result.witness_words[it->second].second)) {
-        word = result.witness_words[it->second].second;
-      } else {
-        word.reserve(witness.blocks.size());
-        for (const BasicRemBlock& block : witness.blocks) {
-          word.push_back(block.label);
-        }
-      }
       result.witness_words.push_back(
-          {{witness.from, witness.to}, std::move(word)});
+          RpqWitness{witness.from, witness.to, witness.path});
     }
   }
   return result;
@@ -202,16 +184,11 @@ RegexPtr RegexFromWitnesses(const RpqDefinabilityResult& result,
   if (result.empty_relation_witness.has_value()) {
     return word_to_regex(*result.empty_relation_witness);
   }
-  assert(!result.witness_words.empty());
-  // Different pairs often share a witness word; dedupe the union branches.
-  std::vector<std::vector<LabelId>> distinct;
+  assert(!result.words.empty());
   std::vector<RegexPtr> parts;
-  for (const auto& [pair, word] : result.witness_words) {
-    if (std::find(distinct.begin(), distinct.end(), word) ==
-        distinct.end()) {
-      distinct.push_back(word);
-      parts.push_back(word_to_regex(word));
-    }
+  parts.reserve(result.words.size());
+  for (const std::vector<LabelId>& word : result.words) {
+    parts.push_back(word_to_regex(word));
   }
   return re::Union(std::move(parts));
 }

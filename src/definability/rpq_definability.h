@@ -30,12 +30,23 @@
 
 namespace gqd {
 
+/// One pair of S and the index of its witness word in
+/// RpqDefinabilityResult::words.
+struct RpqWitness {
+  NodeId from;
+  NodeId to;
+  std::size_t word;
+
+  bool operator==(const RpqWitness&) const = default;
+};
+
 struct RpqDefinabilityResult {
   DefinabilityVerdict verdict = DefinabilityVerdict::kBudgetExhausted;
-  /// One witness word (as label ids) per pair of S when definable and
-  /// S ≠ ∅.
-  std::vector<std::pair<std::pair<NodeId, NodeId>, std::vector<LabelId>>>
-      witness_words;
+  /// Each distinct witness word (as label ids) once, in the order of the
+  /// first pair it witnesses, when definable and S ≠ ∅.
+  std::vector<std::vector<LabelId>> words;
+  /// One entry per pair of S, in Pairs() order, when definable and S ≠ ∅.
+  std::vector<RpqWitness> witness_words;
   /// When S = ∅ and definable: a word w with R_w = ∅.
   std::optional<std::vector<LabelId>> empty_relation_witness;
   std::size_t tuples_explored = 0;
@@ -66,8 +77,9 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options = {});
 
-/// Builds a defining regex from a kDefinable result: the union of witness
-/// words (ε for the empty word), or the killing word for S = ∅.
+/// Builds a defining regex from a kDefinable result: the union of the
+/// distinct witness words in order (ε for the empty word), or the killing
+/// word for S = ∅.
 RegexPtr RegexFromWitnesses(const RpqDefinabilityResult& result,
                             const StringInterner& labels);
 

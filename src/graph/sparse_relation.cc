@@ -2,14 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace gqd {
 
 namespace {
 
 /// Sorts row-major and removes duplicate pairs — the canonical pair order
-/// every representation builds from and emits.
+/// every representation builds from and emits. Input that is already
+/// canonical (strictly increasing) costs one linear check.
 void CanonicalizePairs(std::vector<std::pair<NodeId, NodeId>>* pairs) {
+  if (std::adjacent_find(pairs->begin(), pairs->end(),
+                         std::greater_equal<>()) == pairs->end()) {
+    return;
+  }
   std::sort(pairs->begin(), pairs->end());
   pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
 }

@@ -1,7 +1,6 @@
 #include "synthesis/synthesis.h"
 
-#include <algorithm>
-
+#include <span>
 #include <string>
 
 #include "synthesis/lint_postpass.h"
@@ -42,16 +41,11 @@ Result<std::optional<RemPtr>> SynthesizeKRemQuery(
                        CheckKRemDefinability(graph, relation, k, options));
   switch (result.verdict) {
     case DefinabilityVerdict::kDefinable: {
-      // Different pairs often share a witness; dedupe the union branches.
+      // One union branch per distinct witness path, in first-use order.
       std::vector<RemPtr> parts;
-      std::vector<std::string> seen;
-      for (const KRemWitness& witness : result.witnesses) {
-        RemPtr part = BasicRemFromBlocks(witness.blocks, k, graph.labels());
-        std::string printed = RemToString(part);
-        if (std::find(seen.begin(), seen.end(), printed) == seen.end()) {
-          seen.push_back(std::move(printed));
-          parts.push_back(std::move(part));
-        }
+      parts.reserve(result.paths.size());
+      for (std::span<const BasicRemBlock> path : result.paths) {
+        parts.push_back(BasicRemFromBlocks(path, k, graph.labels()));
       }
       RemPtr query = rem::Union(std::move(parts));
       GQD_RETURN_NOT_OK(LintSynthesizedRem(graph, relation, query).status());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 
 #include "analysis/plan/kernel_class.h"
 #include "common/budget.h"
@@ -69,6 +70,27 @@ TEST(KRemDefinability, S2IsTwoRemDefinable) {
     defined.UnionWith(rel);
   }
   EXPECT_EQ(defined, Figure1S2(g));
+}
+
+// Witnesses view blocks the result shares among its copies: a copy stays
+// valid after the original is destroyed (the sanitizer build would flag a
+// dangling view), and each witness is its path's shared run.
+TEST(KRemDefinability, CopiedResultOutlivesTheOriginal) {
+  DataGraph g = Figure1Graph();
+  auto original = std::make_unique<KRemDefinabilityResult>(
+      CheckKRemDefinability(g, Figure1S2(g), 2).ValueOrDie());
+  ASSERT_EQ(original->verdict, DefinabilityVerdict::kDefinable);
+  KRemDefinabilityResult copy = *original;
+  original.reset();
+  ASSERT_EQ(copy.witnesses.size(), Figure1S2(g).Count());
+  for (const KRemWitness& witness : copy.witnesses) {
+    ASSERT_LT(witness.path, copy.paths.size());
+    EXPECT_EQ(witness.blocks.data(), copy.paths[witness.path].data());
+    EXPECT_EQ(witness.blocks.size(), copy.paths[witness.path].size());
+    RemPtr e = BasicRemFromBlocks(witness.blocks, 2, g.labels());
+    EXPECT_TRUE(EvaluateRem(g, e).Test(witness.from, witness.to))
+        << RemToString(e);
+  }
 }
 
 TEST(KRemDefinability, S2IsNotOneRemDefinable) {
@@ -450,6 +472,39 @@ TEST(Definability, EmptyRelationRpqDependsOnGraph) {
   EXPECT_TRUE(EvaluateRpq(line, regex).Empty());
 }
 
+// One macro tuple accepts every pair of a grid's a.b relation (a b and b a
+// reach the same tuple), so the check keeps one word and every pair, in
+// Pairs() order, refers to it.
+TEST(RpqDefinability, GridWordRelationSharesOneWord) {
+  GridOptions grid;
+  grid.rows = 60;
+  grid.cols = 60;
+  DataGraphSink sink;
+  GenerateGrid(grid, &sink);
+  DataGraph g = sink.Take();
+  BinaryRelation s = EvaluateRpq(g, ParseRegex("a b").ValueOrDie());
+  AdaptiveRelation relation = AdaptiveRelation::FromPairs(
+      g.NumNodes(), s.Pairs(), RelationBackend::kSparse);
+  KRemDefinabilityOptions options;
+  options.tuple_store = KRemTupleStore::kSparseFrontier;
+  auto result = CheckRpqDefinability(g, relation, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result.value().verdict, DefinabilityVerdict::kDefinable);
+  ASSERT_EQ(result.value().words.size(), 1u);
+  EXPECT_EQ(result.value().words[0].size(), 2u);
+  std::vector<std::pair<NodeId, NodeId>> pairs = relation.Pairs();
+  ASSERT_EQ(pairs.size(), 59u * 59u);
+  ASSERT_EQ(result.value().witness_words.size(), pairs.size());
+  for (std::size_t j = 0; j < pairs.size(); j++) {
+    const RpqWitness& witness = result.value().witness_words[j];
+    EXPECT_EQ(witness.from, pairs[j].first) << j;
+    EXPECT_EQ(witness.to, pairs[j].second) << j;
+    EXPECT_EQ(witness.word, 0u) << j;
+  }
+  EXPECT_EQ(EvaluateRpq(g, RegexFromWitnesses(result.value(), g.labels())),
+            s);
+}
+
 // On a rows×cols grid (a east, b south) T_w keeps exactly the nodes at
 // row ≥ #b(w) and column ≥ #a(w), so the killing-word walk over node subsets
 // first reaches ∅ at depth min(rows, cols), after ~78 subsets on 12×12.
@@ -583,6 +638,7 @@ TEST(DefinabilitySetups, OneSetupDecidesEveryRelationLikeTheColdCheck) {
         auto rpq_cold = CheckRpqDefinability(g, s).ValueOrDie();
         auto rpq_warm = CheckRpqDefinability(setup, g, adaptive).ValueOrDie();
         EXPECT_EQ(rpq_warm.verdict, rpq_cold.verdict);
+        EXPECT_EQ(rpq_warm.words, rpq_cold.words);
         EXPECT_EQ(rpq_warm.witness_words, rpq_cold.witness_words);
       }
     }

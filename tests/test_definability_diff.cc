@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -55,8 +56,8 @@ RandomCase MakeCase(std::uint64_t seed) {
   return RandomCase{std::move(graph), std::move(relation), seed % 3};
 }
 
-bool SameBlocks(const std::vector<BasicRemBlock>& a,
-                const std::vector<BasicRemBlock>& b) {
+bool SameBlocks(std::span<const BasicRemBlock> a,
+                std::span<const BasicRemBlock> b) {
   if (a.size() != b.size()) {
     return false;
   }
@@ -80,6 +81,13 @@ void ExpectSameKRemResult(const KRemDefinabilityResult& a,
     EXPECT_EQ(a.witnesses[w].to, b.witnesses[w].to) << "seed " << seed;
     EXPECT_TRUE(SameBlocks(a.witnesses[w].blocks, b.witnesses[w].blocks))
         << "seed " << seed << " witness " << w;
+    EXPECT_EQ(a.witnesses[w].path, b.witnesses[w].path)
+        << "seed " << seed << " witness " << w;
+  }
+  ASSERT_EQ(a.paths.size(), b.paths.size()) << "seed " << seed;
+  for (std::size_t p = 0; p < a.paths.size(); p++) {
+    EXPECT_TRUE(SameBlocks(a.paths[p], b.paths[p]))
+        << "seed " << seed << " path " << p;
   }
 }
 
@@ -521,6 +529,25 @@ TEST(KRemDiff, SparseFrontierWitnessesFollowPairsOrder) {
       ExpectSameKRemResult(a.value(), d.value(), seed);
       const std::vector<KRemWitness>& witnesses = b.value().witnesses;
       ASSERT_EQ(witnesses.size(), pairs.size());
+      ASSERT_EQ(a.value().witnesses.size(), pairs.size());
+      ASSERT_EQ(d.value().witnesses.size(), pairs.size());
+      // Each pair's path, block by block, on the dense store, the sparse
+      // store, and the sparse store over a sparse relation.
+      for (std::size_t j = 0; j < pairs.size(); j++) {
+        std::span<const BasicRemBlock> dense = a.value().witnesses[j].blocks;
+        for (std::span<const BasicRemBlock> sparse :
+             {witnesses[j].blocks, d.value().witnesses[j].blocks}) {
+          ASSERT_EQ(sparse.size(), dense.size()) << "witness " << j;
+          for (std::size_t i = 0; i < dense.size(); i++) {
+            EXPECT_EQ(sparse[i].store_mask, dense[i].store_mask)
+                << "witness " << j << " block " << i;
+            EXPECT_EQ(sparse[i].label, dense[i].label)
+                << "witness " << j << " block " << i;
+            EXPECT_EQ(sparse[i].condition, dense[i].condition)
+                << "witness " << j << " block " << i;
+          }
+        }
+      }
       for (std::size_t j = 0; j < pairs.size(); j++) {
         EXPECT_EQ(witnesses[j].from, pairs[j].first) << "witness " << j;
         EXPECT_EQ(witnesses[j].to, pairs[j].second) << "witness " << j;
@@ -963,6 +990,8 @@ TEST(RelationBackendDiff, RpqIdenticalAcrossBackends) {
       ASSERT_TRUE(r.ok())
           << "seed " << seed << " backend " << RelationBackendName(backend);
       EXPECT_EQ(dense.value().verdict, r.value().verdict)
+          << "seed " << seed << " backend " << RelationBackendName(backend);
+      EXPECT_EQ(dense.value().words, r.value().words)
           << "seed " << seed << " backend " << RelationBackendName(backend);
       EXPECT_EQ(dense.value().witness_words, r.value().witness_words)
           << "seed " << seed << " backend " << RelationBackendName(backend);

@@ -255,6 +255,49 @@ TEST(AdaptiveRelation, AllBackendsAgreeOnPairsAndMembership) {
   }
 }
 
+// Canonical input (strictly row-major) skips the sort; everything else is
+// sorted and deduplicated. Either way every backend ends up with the same
+// canonical pairs.
+TEST(AdaptiveRelation, EveryInputOrderCanonicalizesAlike) {
+  const std::size_t n = 40;
+  Pairs canonical = BinaryRelation::FromPairs(n, RandomPairs(n, 90, 5)).Pairs();
+  ASSERT_GT(canonical.size(), 10u);
+  Pairs unsorted(canonical.rbegin(), canonical.rend());
+  Pairs duplicated;
+  for (const auto& pair : canonical) {
+    duplicated.push_back(pair);
+    duplicated.push_back(pair);
+  }
+  struct Input {
+    const char* name;
+    Pairs pairs;
+    Pairs expected;
+  };
+  for (const Input& input : {Input{"unsorted", unsorted, canonical},
+                             Input{"sorted with duplicates", duplicated,
+                                   canonical},
+                             Input{"sorted unique", canonical, canonical},
+                             Input{"empty", {}, {}}}) {
+    SCOPED_TRACE(input.name);
+    for (RelationBackend backend :
+         {RelationBackend::kDense, RelationBackend::kSparse,
+          RelationBackend::kBlocked}) {
+      AdaptiveRelation r =
+          AdaptiveRelation::FromPairs(n, input.pairs, backend);
+      EXPECT_EQ(r.Pairs(), input.expected) << RelationBackendName(backend);
+      EXPECT_EQ(r.Nnz(), input.expected.size())
+          << RelationBackendName(backend);
+    }
+    SparseBinaryRelation sparse = SparseBinaryRelation::FromPairs(n, input.pairs);
+    EXPECT_EQ(sparse.Pairs(), input.expected);
+    EXPECT_EQ(sparse.Nnz(), input.expected.size());
+    BlockedBinaryRelation blocked =
+        BlockedBinaryRelation::FromPairs(n, input.pairs);
+    EXPECT_EQ(blocked.Pairs(), input.expected);
+    EXPECT_EQ(blocked.Nnz(), input.expected.size());
+  }
+}
+
 TEST(AdaptiveRelation, ByteSizeReflectsBackend) {
   // At a million nodes the sparse representation must be orders of
   // magnitude under the dense matrix the estimate refuses.

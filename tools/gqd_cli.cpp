@@ -963,11 +963,32 @@ int CmdGen(int argc, char** argv) {
         }
       }
     } else {
-      if (FlagValue(argc, argv, "--pairs") == nullptr) {
+      // Distinct pairs never exceed n², so neither may a draw count.
+      const std::uint64_t max_pairs =
+          n > std::numeric_limits<std::uint32_t>::max()
+              ? std::numeric_limits<std::uint64_t>::max()
+              : static_cast<std::uint64_t>(n) * n;
+      if (const char* text = FlagValue(argc, argv, "--pairs")) {
+        if (draws > max_pairs) {
+          std::fprintf(stderr,
+                       "error: --pairs takes an integer in [0, %llu], got "
+                       "'%s'\n",
+                       static_cast<unsigned long long>(max_pairs), text);
+          return Usage();
+        }
+      } else {
+        const char* density_text = FlagValue(argc, argv, "--density");
+        if (density_text != nullptr && density > static_cast<double>(n)) {
+          std::fprintf(stderr,
+                       "error: --density takes a number in [0, %zu], got "
+                       "'%s'\n",
+                       n, density_text);
+          return Usage();
+        }
         draws = static_cast<std::uint64_t>(density * static_cast<double>(n));
       }
       SplitMix64 rng(seed);
-      pairs.reserve(draws);
+      pairs.reserve(std::min(draws, max_pairs));
       for (std::uint64_t i = 0; i < draws; i++) {
         NodeId u = static_cast<NodeId>(rng.NextBelow(n));
         NodeId v = static_cast<NodeId>(rng.NextBelow(n));

@@ -45,3 +45,14 @@ expect_usage("--worker takes an integer in \\[0, 65535\\]"
              route --worker 70000)
 expect_usage("unknown --language 'bogus'"
              check ${G} ${S} --language bogus)
+# Draw counts are capped by the graph: at most n² = 36 pairs and a density
+# of at most n = 6 on the 6-node sample graph, never a reserve that aborts.
+expect_usage("--pairs takes an integer in \\[0, 36\\].*'18446744073709551615'"
+             gen relation --graph ${G} --out unused
+             --pairs 18446744073709551615)
+expect_usage("--pairs takes an integer in \\[0, 36\\].*'37'"
+             gen relation --graph ${G} --out unused --pairs 37)
+expect_usage("--density takes a number in \\[0, 6\\].*'1e300'"
+             gen relation --graph ${G} --out unused --density 1e300)
+expect_usage("--density takes a number in \\[0, 6\\].*'6.5'"
+             gen relation --graph ${G} --out unused --density 6.5)

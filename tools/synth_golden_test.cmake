@@ -1,0 +1,29 @@
+# `gqd synth` output is pinned byte for byte: each case synthesizes a query
+# for an examples/data relation over social_network.graph and compares
+# stdout with tests/data/golden_synth/<case>.txt, and the exit code with
+# the case's (0 definable, 3 not definable). Run as a CTest script with
+# -DGQD=<gqd binary> -DDATA=<examples/data> -DGOLDEN=<golden directory>.
+# Regenerate a golden only when a change is meant to alter the synthesized
+# expression, and say so.
+
+function(expect_synth name relation rc_expected)
+  execute_process(COMMAND ${GQD} synth ${DATA}/social_network.graph
+                          ${DATA}/${relation}.pairs ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err
+                  TIMEOUT 60)
+  file(READ ${GOLDEN}/${name}.txt golden)
+  if(NOT rc EQUAL rc_expected)
+    message(FATAL_ERROR "${name}: expected exit ${rc_expected}, got ${rc}\n"
+                        "${out}\n${err}")
+  endif()
+  if(NOT out STREQUAL golden)
+    message(FATAL_ERROR "${name}: output differs from ${name}.txt\n"
+                        "got:      ${out}\nexpected: ${golden}")
+  endif()
+endfunction()
+
+expect_synth(movie_link_rpq movie_link 3 --language rpq)
+expect_synth(movie_link_rem_k1 movie_link 0 --language rem --k 1)
+expect_synth(movie_link_rem_k2 movie_link 0 --language rem --k 2)
+expect_synth(friend_chain_rpq friend_chain 0 --language rpq)
+expect_synth(friend_chain_rem_k1 friend_chain 0 --language rem --k 1)
