@@ -190,4 +190,20 @@ std::optional<ExplainedPath> ExplainReePair(const DataGraph& graph,
   return ExplainRemPair(graph, ReeToRem(expression), from, to);
 }
 
+std::optional<ExplainedPath> ExplainPathPair(const DataGraph& graph,
+                                             const PathExpression& expression,
+                                             NodeId from, NodeId to) {
+  return std::visit(
+      Overloaded{[&](const RegexPtr& e) {
+                   return ExplainRpqPair(graph, e, from, to);
+                 },
+                 [&](const RemPtr& e) {
+                   return ExplainRemPair(graph, e, from, to);
+                 },
+                 [&](const ReePtr& e) {
+                   return ExplainReePair(graph, e, from, to);
+                 }},
+      expression);
+}
+
 }  // namespace gqd

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "eval/query.h"
 #include "graph/data_graph.h"
 #include "graph/data_path.h"
 #include "regex/ast.h"
@@ -42,6 +43,11 @@ std::optional<ExplainedPath> ExplainRpqPair(const DataGraph& graph,
 std::optional<ExplainedPath> ExplainReePair(const DataGraph& graph,
                                             const ReePtr& expression,
                                             NodeId from, NodeId to);
+
+/// Any of the three expression kinds.
+std::optional<ExplainedPath> ExplainPathPair(const DataGraph& graph,
+                                             const PathExpression& expression,
+                                             NodeId from, NodeId to);
 
 }  // namespace gqd
 

@@ -2,8 +2,6 @@
 
 #include <variant>
 
-#include "analysis/pass_manager.h"
-
 namespace gqd {
 
 namespace {
@@ -23,12 +21,8 @@ Status RejectOnErrors(const std::vector<Diagnostic>& diagnostics,
                                  DiagnosticsToText(errors));
 }
 
-}  // namespace
-
-std::vector<Diagnostic> LintPathExpression(const DataGraph& graph,
-                                           const PathExpression& expression) {
-  AnalysisOptions options;
-  options.graph = &graph;
+std::vector<Diagnostic> LintWith(const PathExpression& expression,
+                                 const AnalysisOptions& options) {
   if (const RegexPtr* regex = std::get_if<RegexPtr>(&expression)) {
     return LintRegex(*regex, options);
   }
@@ -36,6 +30,25 @@ std::vector<Diagnostic> LintPathExpression(const DataGraph& graph,
     return LintRem(*rem, options);
   }
   return LintRee(std::get<ReePtr>(expression), options);
+}
+
+}  // namespace
+
+std::vector<Diagnostic> LintPathExpression(const DataGraph& graph,
+                                           const PathExpression& expression) {
+  AnalysisOptions options;
+  options.graph = &graph;
+  return LintWith(expression, options);
+}
+
+Result<std::vector<Diagnostic>> LintPathQuery(const std::string& language,
+                                              const std::string& text,
+                                              const AnalysisOptions& options) {
+  GQD_ASSIGN_OR_RETURN(PathExpression expression,
+                       ParsePathQuery(language, text));
+  std::vector<Diagnostic> diagnostics = LintWith(expression, options);
+  ResolveDiagnosticLocations(text, &diagnostics);
+  return diagnostics;
 }
 
 Status PreflightPathExpression(const DataGraph& graph,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "analysis/pass_manager.h"
 #include "common/status.h"
 #include "eval/query.h"
 #include "graph/data_graph.h"
@@ -35,6 +36,12 @@ Status PreflightUcrdpq(const DataGraph& graph, const Ucrdpq& query);
 /// report rather than reject.
 std::vector<Diagnostic> LintPathExpression(const DataGraph& graph,
                                            const PathExpression& expression);
+
+/// Parses `text` as a `language` query (see ParsePathQuery) and lints it;
+/// findings carry line:column anchors into `text`.
+Result<std::vector<Diagnostic>> LintPathQuery(const std::string& language,
+                                              const std::string& text,
+                                              const AnalysisOptions& options);
 
 }  // namespace gqd
 

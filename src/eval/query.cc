@@ -7,18 +7,49 @@
 #include "eval/rem_eval.h"
 #include "eval/ree_eval.h"
 #include "eval/rpq_eval.h"
+#include "ree/parser.h"
+#include "regex/parser.h"
+#include "rem/parser.h"
 
 namespace gqd {
 
-BinaryRelation EvaluatePathExpression(const DataGraph& graph,
-                                      const PathExpression& expression) {
-  if (const auto* regex = std::get_if<RegexPtr>(&expression)) {
-    return EvaluateRpq(graph, *regex);
+bool IsPathQueryLanguage(const std::string& language) {
+  return language == "rpq" || language == "regex" || language == "rem" ||
+         language == "ree";
+}
+
+Result<PathExpression> ParsePathQuery(const std::string& language,
+                                      const std::string& text) {
+  if (!IsPathQueryLanguage(language)) {
+    return Status::InvalidArgument("unknown language '" + language +
+                                   "' (expected rpq, regex, rem or ree)");
   }
-  if (const auto* rem = std::get_if<RemPtr>(&expression)) {
-    return EvaluateRem(graph, *rem);
+  if (language == "rem") {
+    GQD_ASSIGN_OR_RETURN(RemPtr rem, ParseRem(text));
+    return PathExpression(std::move(rem));
   }
-  return EvaluateRee(graph, std::get<ReePtr>(expression));
+  if (language == "ree") {
+    GQD_ASSIGN_OR_RETURN(ReePtr ree, ParseRee(text));
+    return PathExpression(std::move(ree));
+  }
+  GQD_ASSIGN_OR_RETURN(RegexPtr regex, ParseRegex(text));
+  return PathExpression(std::move(regex));
+}
+
+const char* PathLanguageName(const PathExpression& expression) {
+  static constexpr const char* kNames[] = {"rpq", "rem", "ree"};
+  return kNames[expression.index()];
+}
+
+Result<BinaryRelation> EvaluatePathExpression(
+    const DataGraph& graph, const PathExpression& expression,
+    const EvalOptions& options) {
+  return std::visit(
+      Overloaded{
+          [&](const RegexPtr& e) { return EvaluateRpq(graph, e, options); },
+          [&](const RemPtr& e) { return EvaluateRem(graph, e, options); },
+          [&](const ReePtr& e) { return EvaluateRee(graph, e, options); }},
+      expression);
 }
 
 std::string PathExpressionToString(const PathExpression& expression) {
@@ -100,7 +131,8 @@ Result<TupleRelation> EvaluateCrdpq(const DataGraph& graph,
     IndexedAtom indexed;
     indexed.from = variable_index(atom.from_variable);
     indexed.to = variable_index(atom.to_variable);
-    indexed.relation = EvaluatePathExpression(graph, atom.expression);
+    GQD_ASSIGN_OR_RETURN(indexed.relation,
+                         EvaluatePathExpression(graph, atom.expression));
     atoms.push_back(std::move(indexed));
   }
   std::vector<std::size_t> answer_indices;

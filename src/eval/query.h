@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "eval/eval_options.h"
 #include "graph/data_graph.h"
 #include "graph/relation.h"
 #include "regex/ast.h"
@@ -21,9 +22,29 @@ namespace gqd {
 /// an REM (RDPQ_mem) or an REE (RDPQ_=).
 using PathExpression = std::variant<RegexPtr, RemPtr, ReePtr>;
 
-/// Evaluates x -e-> y on `graph` for any of the three expression kinds.
-BinaryRelation EvaluatePathExpression(const DataGraph& graph,
-                                      const PathExpression& expression);
+/// A lambda overload set, for std::visit over a PathExpression.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+/// True for the query language names ParsePathQuery accepts: rpq and regex
+/// (both a standard regex), rem and ree.
+bool IsPathQueryLanguage(const std::string& language);
+
+/// Parses `text` in the query language `language`; InvalidArgument naming
+/// the accepted languages for any other name.
+Result<PathExpression> ParsePathQuery(const std::string& language,
+                                      const std::string& text);
+
+/// The canonical language name of the expression: rpq, rem or ree.
+const char* PathLanguageName(const PathExpression& expression);
+
+/// Evaluates x -e-> y on `graph` for any of the three expression kinds,
+/// under `options`' deadline and budget (see EvalOptions).
+Result<BinaryRelation> EvaluatePathExpression(
+    const DataGraph& graph, const PathExpression& expression,
+    const EvalOptions& options = {});
 
 /// Renders the expression in its concrete syntax.
 std::string PathExpressionToString(const PathExpression& expression);

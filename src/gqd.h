@@ -105,6 +105,7 @@
 // Serving runtime (gqd serve).
 #include "runtime/admission.h"       // IWYU pragma: export
 #include "runtime/client.h"          // IWYU pragma: export
+#include "runtime/command.h"         // IWYU pragma: export
 #include "runtime/graph_registry.h"  // IWYU pragma: export
 #include "runtime/line_handler.h"    // IWYU pragma: export
 #include "runtime/result_cache.h"    // IWYU pragma: export

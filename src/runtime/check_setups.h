@@ -7,7 +7,7 @@
 // Lemma 30 consults S only in the final cover test, which converts S to
 // the monoid's representation whatever its backend). A
 // CheckSetups hangs off each GraphRegistry entry and is filled lazily by
-// QueryService::HandleCheck: setups are built outside the lock by the
+// RunCheck (runtime/command.h): setups are built outside the lock by the
 // request that missed, and the first insert for a key wins.
 //
 // Lifetime is the graph's: identical content registered under two names

@@ -10,24 +10,16 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/pass_manager.h"
-#include "definability/krem_definability.h"
-#include "definability/ree_definability.h"
-#include "definability/rpq_definability.h"
-#include "definability/ucrdpq_definability.h"
-#include "eval/eval_options.h"
-#include "eval/ree_eval.h"
+#include "eval/preflight.h"
+#include "eval/query.h"
 #include "eval/rem_eval.h"
-#include "eval/rpq_eval.h"
 #include "graph/serialization.h"
 #include "graph/sparse_relation.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "runtime/command.h"
 #include "storage/relation_store.h"
-#include "ree/parser.h"
-#include "regex/parser.h"
-#include "rem/parser.h"
 
 namespace gqd {
 
@@ -52,17 +44,6 @@ JsonValue StorageInfoToJson(const GraphStoreInfo& info) {
   return JsonValue(std::move(storage));
 }
 
-/// Reads "deadline_ms" (0 = no deadline). CancelToken itself is pinned in
-/// place (atomic member), so the caller emplaces it locally from this.
-Result<std::int64_t> DeadlineMsFrom(const JsonValue& request) {
-  GQD_ASSIGN_OR_RETURN(std::int64_t deadline_ms,
-                       request.GetIntOr("deadline_ms", 0));
-  if (deadline_ms < 0) {
-    return Status::InvalidArgument("deadline_ms must be non-negative");
-  }
-  return deadline_ms;
-}
-
 /// `retry_after_ms` >= 0 adds a backoff hint to the error object (used for
 /// Unavailable / load-shed responses).
 JsonValue ErrorResponse(const JsonValue* id, const Status& status,
@@ -83,89 +64,19 @@ JsonValue ErrorResponse(const JsonValue* id, const Status& status,
   return JsonValue(std::move(response));
 }
 
-/// Reads the optional per-request resource budget ("max_bytes",
-/// "max_tuples"; 0 = unlimited) into `*budget`; leaves it empty when
-/// neither cap is set.
-Status BudgetFrom(const JsonValue& request,
-                  std::optional<ResourceBudget>* budget) {
-  GQD_ASSIGN_OR_RETURN(std::int64_t max_bytes,
-                       request.GetIntOr("max_bytes", 0));
-  GQD_ASSIGN_OR_RETURN(std::int64_t max_tuples,
-                       request.GetIntOr("max_tuples", 0));
-  if (max_bytes < 0 || max_tuples < 0) {
-    return Status::InvalidArgument(
-        "max_bytes and max_tuples must be non-negative");
-  }
-  if (max_bytes > 0 || max_tuples > 0) {
-    budget->emplace(static_cast<std::uint64_t>(max_bytes),
-                    static_cast<std::uint64_t>(max_tuples));
-  }
-  return Status::OK();
-}
-
-bool Shareable(const KRemSetup& setup) { return setup.shareable(); }
-bool Shareable(const ReeMonoid& monoid) { return monoid.complete(); }
-
-/// The checker setup a served check runs on: the held one when it
-/// reproduces what a fresh build under `options` would do (hit — its build
-/// charges and failpoint are replayed against the request), else a fresh
-/// build kept for later checks when nothing request-specific shaped it
-/// (miss). nullptr means the held setup could differ from a fresh build
-/// under this request's budget or caps (bypass): run the cold checker.
-template <typename Key, typename Setup, typename Options, typename Build>
-Result<std::shared_ptr<const Setup>> AcquireSetup(
-    SetupSlots<Key, Setup>* slots, const Key& key, const Options& options,
-    CheckSetupKind kind, ServerStats* stats, const Build& build) {
-  std::shared_ptr<const Setup> held = slots->Find(key);
-  if (held != nullptr) {
-    if (!held->ReusableFor(options)) {
-      stats->RecordCheckSetup(kind, CheckSetupUse::kBypass);
-      return std::shared_ptr<const Setup>();
-    }
-    stats->RecordCheckSetup(kind, CheckSetupUse::kHit);
-    GQD_TRACE_SPAN(span, "serve.check_setup_reuse");
-    GQD_RETURN_NOT_OK(held->ChargeReuse(options.budget));
-    return held;
-  }
-  stats->RecordCheckSetup(kind, CheckSetupUse::kMiss);
-  GQD_ASSIGN_OR_RETURN(Setup built, build());
-  auto fresh = std::make_shared<const Setup>(std::move(built));
-  if (Shareable(*fresh)) {
-    slots->Add(key, fresh);
-  }
-  return fresh;
-}
-
-/// Serializes a checker's PartialProgress into response JSON, so budget
-/// exhaustion reports how far the search got.
-void EmplacePartial(JsonValue::Object* body,
-                    const std::optional<PartialProgress>& partial) {
-  if (!partial.has_value()) {
-    return;
-  }
-  JsonValue::Object progress;
-  progress.emplace_back("stage", partial->stage);
-  progress.emplace_back("tuples_explored",
-                        static_cast<double>(partial->tuples_explored));
-  progress.emplace_back("frontier_depth",
-                        static_cast<double>(partial->frontier_depth));
-  progress.emplace_back("bytes_peak",
-                        static_cast<double>(partial->bytes_peak));
-  body->emplace_back("partial", JsonValue(std::move(progress)));
-}
-
-/// Scope guard attributing a request's budget exhaustion to the axis that
-/// tripped (bytes vs tuples vs wall). Fires on every return path of a
-/// handler — budget trips surface both as error statuses (eval) and as
-/// kBudgetExhausted verdicts (check), and this catches both.
-class BudgetAxisRecorder {
+/// A served eval's or check's limits: "deadline_ms" (0 = none) and the
+/// resource budget ("max_bytes", "max_tuples"; 0 = unlimited). Pinned in
+/// place: CancelToken and ResourceBudget hold atomics. Its destructor
+/// attributes the request's budget exhaustion to the axis that tripped
+/// (bytes vs tuples vs wall) on every return path of a handler — budget
+/// trips surface both as error statuses (eval) and as kBudgetExhausted
+/// verdicts (check), and this catches both.
+class RequestLimits {
  public:
-  BudgetAxisRecorder(ServerStats* stats,
-                     const std::optional<ResourceBudget>* budget)
-      : stats_(stats), budget_(budget) {}
-  ~BudgetAxisRecorder() {
-    if (budget_->has_value()) {
-      BudgetAxis axis = (*budget_)->TrippedAxis();
+  explicit RequestLimits(ServerStats* stats) : stats_(stats) {}
+  ~RequestLimits() {
+    if (budget_.has_value()) {
+      BudgetAxis axis = budget_->TrippedAxis();
       stats_->RecordBudgetAxis(axis);
       if (axis != BudgetAxis::kNone) {
         EventLog::Global().Emit(LogLevel::kWarn, "serve", "budget_exhausted",
@@ -173,12 +84,44 @@ class BudgetAxisRecorder {
       }
     }
   }
-  BudgetAxisRecorder(const BudgetAxisRecorder&) = delete;
-  BudgetAxisRecorder& operator=(const BudgetAxisRecorder&) = delete;
+  RequestLimits(const RequestLimits&) = delete;
+  RequestLimits& operator=(const RequestLimits&) = delete;
+
+  Status Read(const JsonValue& request) {
+    GQD_ASSIGN_OR_RETURN(std::int64_t deadline_ms,
+                         request.GetIntOr("deadline_ms", 0));
+    if (deadline_ms < 0) {
+      return Status::InvalidArgument("deadline_ms must be non-negative");
+    }
+    if (deadline_ms > 0) {
+      deadline_.emplace(std::chrono::milliseconds(deadline_ms));
+    }
+    GQD_ASSIGN_OR_RETURN(std::int64_t max_bytes,
+                         request.GetIntOr("max_bytes", 0));
+    GQD_ASSIGN_OR_RETURN(std::int64_t max_tuples,
+                         request.GetIntOr("max_tuples", 0));
+    if (max_bytes < 0 || max_tuples < 0) {
+      return Status::InvalidArgument(
+          "max_bytes and max_tuples must be non-negative");
+    }
+    if (max_bytes > 0 || max_tuples > 0) {
+      budget_.emplace(static_cast<std::uint64_t>(max_bytes),
+                      static_cast<std::uint64_t>(max_tuples));
+    }
+    return Status::OK();
+  }
+
+  const CancelToken* cancel() const {
+    return deadline_.has_value() ? &deadline_.value() : nullptr;
+  }
+  const ResourceBudget* budget() const {
+    return budget_.has_value() ? &budget_.value() : nullptr;
+  }
 
  private:
   ServerStats* stats_;
-  const std::optional<ResourceBudget>* budget_;
+  std::optional<CancelToken> deadline_;
+  std::optional<ResourceBudget> budget_;
 };
 
 }  // namespace
@@ -401,66 +344,35 @@ Result<JsonValue> QueryService::EvalOne(const RegisteredGraph& entry,
                                         const CancelToken* cancel,
                                         const ResourceBudget* budget) {
   const DataGraph& graph = *entry.graph;
-  auto cache_get = [this](const std::string& key) {
-    GQD_TRACE_SPAN(span, "serve.cache_lookup");
-    std::shared_ptr<const BinaryRelation> found = cache_.Get(key);
-    GQD_TRACE_SPAN_ATTR(span, "hit", found != nullptr ? 1 : 0);
-    return found;
-  };
-  // Normalize: parse, then canonical-print, so formatting differences
-  // ("a . b" vs "a.b") share one cache entry.
-  std::string normalized;
+  GQD_ASSIGN_OR_RETURN(PathExpression expression,
+                       ParsePathQuery(language, query));
+  // Normalize: canonical-print, so formatting differences ("a . b" vs
+  // "a.b") share one cache entry.
+  const std::string normalized = PathExpressionToString(expression);
+  const std::string key = ResultCache::MakeKey(
+      entry.fingerprint, PathLanguageName(expression), normalized);
   std::shared_ptr<const BinaryRelation> relation;
-  EvalOptions eval_options;
-  eval_options.cancel = cancel;
-  eval_options.budget = budget;
-  if (language == "rpq" || language == "regex") {
-    GQD_ASSIGN_OR_RETURN(RegexPtr expression, ParseRegex(query));
-    normalized = RegexToString(expression);
-    std::string key =
-        ResultCache::MakeKey(entry.fingerprint, "rpq", normalized);
-    relation = cache_get(key);
-    if (relation == nullptr) {
-      GQD_ASSIGN_OR_RETURN(BinaryRelation computed,
-                           EvaluateRpq(graph, expression, eval_options));
-      relation =
-          std::make_shared<const BinaryRelation>(std::move(computed));
-      cache_.Put(key, relation);
-    }
-  } else if (language == "rem") {
-    GQD_ASSIGN_OR_RETURN(RemPtr expression, ParseRem(query));
-    normalized = RemToString(expression);
-    std::string key =
-        ResultCache::MakeKey(entry.fingerprint, "rem", normalized);
-    relation = cache_get(key);
-    if (relation == nullptr) {
-      // The cached QueryPlan carries the plan-pruned automaton; the BFS
-      // runs on it directly, skipping re-compile + re-analysis.
-      std::shared_ptr<const QueryPlan> plan =
-          GetOrBuildRemPlan(entry, normalized, expression);
-      GQD_ASSIGN_OR_RETURN(
-          BinaryRelation computed,
-          EvaluateRemAutomaton(graph, plan->automaton, eval_options));
-      relation =
-          std::make_shared<const BinaryRelation>(std::move(computed));
-      cache_.Put(key, relation);
-    }
-  } else if (language == "ree") {
-    GQD_ASSIGN_OR_RETURN(ReePtr expression, ParseRee(query));
-    normalized = ReeToString(expression);
-    std::string key =
-        ResultCache::MakeKey(entry.fingerprint, "ree", normalized);
-    relation = cache_get(key);
-    if (relation == nullptr) {
-      GQD_ASSIGN_OR_RETURN(BinaryRelation computed,
-                           EvaluateRee(graph, expression, eval_options));
-      relation =
-          std::make_shared<const BinaryRelation>(std::move(computed));
-      cache_.Put(key, relation);
-    }
-  } else {
-    return Status::InvalidArgument("unknown language '" + language +
-                                   "' (expected rpq, regex, rem or ree)");
+  {
+    GQD_TRACE_SPAN(span, "serve.cache_lookup");
+    relation = cache_.Get(key);
+    GQD_TRACE_SPAN_ATTR(span, "hit", relation != nullptr ? 1 : 0);
+  }
+  if (relation == nullptr) {
+    EvalOptions eval_options;
+    eval_options.cancel = cancel;
+    eval_options.budget = budget;
+    // A REM runs on its cached QueryPlan's plan-pruned automaton, skipping
+    // re-compile + re-analysis.
+    const RemPtr* rem = std::get_if<RemPtr>(&expression);
+    GQD_ASSIGN_OR_RETURN(
+        BinaryRelation computed,
+        rem != nullptr
+            ? EvaluateRemAutomaton(
+                  graph, GetOrBuildRemPlan(entry, normalized, *rem)->automaton,
+                  eval_options)
+            : EvaluatePathExpression(graph, expression, eval_options));
+    relation = std::make_shared<const BinaryRelation>(std::move(computed));
+    cache_.Put(key, relation);
   }
   JsonValue::Object body;
   body.emplace_back("query", query);
@@ -501,20 +413,12 @@ Result<JsonValue> QueryService::HandleEval(const JsonValue& request) {
   GQD_ASSIGN_OR_RETURN(std::string graph_name, request.GetString("graph"));
   GQD_ASSIGN_OR_RETURN(RegisteredGraph entry, registry_.Get(graph_name));
   GQD_ASSIGN_OR_RETURN(std::string language, request.GetString("language"));
-  GQD_ASSIGN_OR_RETURN(std::int64_t deadline_ms, DeadlineMsFrom(request));
-  std::optional<CancelToken> deadline;
-  if (deadline_ms > 0) {
-    deadline.emplace(std::chrono::milliseconds(deadline_ms));
-  }
-  const CancelToken* cancel =
-      deadline.has_value() ? &deadline.value() : nullptr;
   // One budget for the whole request: batched queries draw on a shared
   // allowance, the per-request isolation boundary.
-  std::optional<ResourceBudget> budget_storage;
-  GQD_RETURN_NOT_OK(BudgetFrom(request, &budget_storage));
-  const ResourceBudget* budget =
-      budget_storage.has_value() ? &budget_storage.value() : nullptr;
-  BudgetAxisRecorder axis_recorder(&stats_, &budget_storage);
+  RequestLimits limits(&stats_);
+  GQD_RETURN_NOT_OK(limits.Read(request));
+  const CancelToken* cancel = limits.cancel();
+  const ResourceBudget* budget = limits.budget();
 
   const JsonValue* queries = request.Find("queries");
   if (queries == nullptr) {
@@ -606,18 +510,8 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   using RelationPairs = std::vector<std::pair<NodeId, NodeId>>;
   GQD_ASSIGN_OR_RETURN(RelationPairs pairs,
                        ReadRelationPairsText(*entry.graph, relation_text));
-  GQD_ASSIGN_OR_RETURN(std::int64_t deadline_ms, DeadlineMsFrom(request));
-  std::optional<CancelToken> deadline;
-  if (deadline_ms > 0) {
-    deadline.emplace(std::chrono::milliseconds(deadline_ms));
-  }
-  const CancelToken* cancel =
-      deadline.has_value() ? &deadline.value() : nullptr;
-  std::optional<ResourceBudget> budget_storage;
-  GQD_RETURN_NOT_OK(BudgetFrom(request, &budget_storage));
-  const ResourceBudget* budget =
-      budget_storage.has_value() ? &budget_storage.value() : nullptr;
-  BudgetAxisRecorder axis_recorder(&stats_, &budget_storage);
+  RequestLimits limits(&stats_);
+  GQD_RETURN_NOT_OK(limits.Read(request));
   // Optional frontier-parallel successor generation (krem/rpq checkers);
   // any thread count returns bit-identical results.
   GQD_ASSIGN_OR_RETURN(std::int64_t threads, request.GetIntOr("threads", 1));
@@ -638,7 +532,7 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   }
   const std::size_t n = entry.graph->NumNodes();
   RelationAdmission admission =
-      AdmitRelation(n, std::move(pairs), backend_choice, budget);
+      AdmitRelation(n, std::move(pairs), backend_choice, limits.budget());
   if (!admission.status.ok()) {
     return Status::ResourceExhausted(
         std::string("relation admission: ") +
@@ -647,109 +541,32 @@ Result<JsonValue> QueryService::HandleCheck(const JsonValue& request) {
   }
   const AdaptiveRelation& relation = admission.relation;
 
+  CheckRequest check;
+  if (!ParseChecker(checker, &check.checker)) {
+    return Status::InvalidArgument(
+        "unknown checker '" + checker +
+        "' (expected rpq, krem, ree or ucrdpq)");
+  }
+  if (check.checker == Checker::kKRem) {
+    GQD_ASSIGN_OR_RETURN(std::int64_t k, request.GetIntOr("k", 2));
+    if (k < 0) {
+      return Status::InvalidArgument("field 'k' must be non-negative");
+    }
+    check.k = static_cast<std::size_t>(k);
+  }
+  check.num_threads = static_cast<std::size_t>(threads);
+  check.cancel = limits.cancel();
+  check.budget = limits.budget();
+  GQD_ASSIGN_OR_RETURN(
+      CheckAnswer answer,
+      RunCheck(*entry.graph, relation, check, entry.setups.get(), &stats_));
   JsonValue::Object body;
   body.emplace_back("checker", checker);
   body.emplace_back("relation_backend",
                     std::string(RelationBackendName(relation.backend())));
   body.emplace_back("relation_nnz", static_cast<double>(relation.Nnz()));
-  const DataGraph& graph = *entry.graph;
-  // The k-assignment graph and dispatch table for (graph, k): the graph's
-  // held setup when it fits this request, else none (cold check). An
-  // empty S is decided without one.
-  auto krem_setup = [&](std::size_t k, const KRemDefinabilityOptions& options)
-      -> Result<std::shared_ptr<const KRemSetup>> {
-    if (relation.Empty()) {
-      return std::shared_ptr<const KRemSetup>();
-    }
-    return AcquireSetup(&entry.setups->krem, k, options,
-                        CheckSetupKind::kKRem, &stats_,
-                        [&] { return BuildKRemSetup(graph, k, options); });
-  };
-  if (checker == "rpq") {
-    KRemDefinabilityOptions options;
-    options.cancel = cancel;
-    options.budget = budget;
-    options.num_threads = static_cast<std::size_t>(threads);
-    GQD_ASSIGN_OR_RETURN(std::shared_ptr<const KRemSetup> setup,
-                         krem_setup(0, options));
-    GQD_ASSIGN_OR_RETURN(
-        RpqDefinabilityResult result,
-        setup != nullptr
-            ? CheckRpqDefinability(*setup, graph, relation, options)
-            : CheckRpqDefinability(graph, relation, options));
-    body.emplace_back("verdict",
-                      std::string(DefinabilityVerdictToString(
-                          result.verdict)));
-    body.emplace_back("tuples_explored",
-                      static_cast<double>(result.tuples_explored));
-    EmplacePartial(&body, result.partial);
-  } else if (checker == "krem") {
-    GQD_ASSIGN_OR_RETURN(std::int64_t k, request.GetIntOr("k", 2));
-    if (k < 0) {
-      return Status::InvalidArgument("field 'k' must be non-negative");
-    }
-    KRemDefinabilityOptions options;
-    options.cancel = cancel;
-    options.budget = budget;
-    options.num_threads = static_cast<std::size_t>(threads);
-    GQD_ASSIGN_OR_RETURN(std::shared_ptr<const KRemSetup> setup,
-                         krem_setup(static_cast<std::size_t>(k), options));
-    GQD_ASSIGN_OR_RETURN(
-        KRemDefinabilityResult result,
-        setup != nullptr
-            ? CheckKRemDefinability(*setup, graph, relation, options)
-            : CheckKRemDefinability(graph, relation,
-                                    static_cast<std::size_t>(k), options));
-    body.emplace_back("verdict",
-                      std::string(DefinabilityVerdictToString(
-                          result.verdict)));
-    body.emplace_back("k", static_cast<double>(k));
-    body.emplace_back("tuples_explored",
-                      static_cast<double>(result.tuples_explored));
-    EmplacePartial(&body, result.partial);
-  } else if (checker == "ree") {
-    ReeDefinabilityOptions options;
-    options.cancel = cancel;
-    options.budget = budget;
-    // The level monoid depends on the graph only (Lemma 30); S enters the
-    // cover test alone, whatever its backend.
-    GQD_ASSIGN_OR_RETURN(
-        std::shared_ptr<const ReeMonoid> monoid,
-        AcquireSetup(&entry.setups->ree, std::monostate{}, options,
-                     CheckSetupKind::kRee, &stats_, [&] {
-                       return CloseReeMonoid(
-                           graph, ReeRepresentationFor(graph, options.engine),
-                           options);
-                     }));
-    GQD_ASSIGN_OR_RETURN(
-        ReeDefinabilityResult result,
-        monoid != nullptr
-            ? CheckReeDefinability(*monoid, graph, relation)
-            : CheckReeDefinability(graph, relation, options));
-    body.emplace_back("verdict",
-                      std::string(DefinabilityVerdictToString(
-                          result.verdict)));
-    body.emplace_back("levels_used",
-                      static_cast<double>(result.levels_used));
-    body.emplace_back("monoid_size",
-                      static_cast<double>(result.monoid_size));
-    EmplacePartial(&body, result.partial);
-  } else if (checker == "ucrdpq") {
-    UcrdpqDefinabilityOptions options;
-    options.csp.cancel = cancel;
-    options.csp.budget = budget;
-    GQD_ASSIGN_OR_RETURN(UcrdpqDefinabilityResult result,
-                         CheckUcrdpqDefinability(graph, relation, options));
-    body.emplace_back("verdict",
-                      std::string(DefinabilityVerdictToString(
-                          result.verdict)));
-    body.emplace_back("seeds_tried",
-                      static_cast<double>(result.seeds_tried));
-    EmplacePartial(&body, result.partial);
-  } else {
-    return Status::InvalidArgument(
-        "unknown checker '" + checker +
-        "' (expected rpq, krem, ree or ucrdpq)");
+  for (auto& field : CheckAnswerToJson(answer)) {
+    body.push_back(std::move(field));
   }
   return JsonValue(std::move(body));
 }
@@ -766,24 +583,10 @@ Result<JsonValue> QueryService::HandleLint(const JsonValue& request) {
     GQD_ASSIGN_OR_RETURN(entry, registry_.Get(graph_name->AsString()));
     options.graph = entry.graph.get();
   }
-  std::vector<Diagnostic> diagnostics;
-  if (language == "rpq" || language == "regex") {
-    GQD_ASSIGN_OR_RETURN(RegexPtr expression, ParseRegex(query));
-    diagnostics = LintRegex(expression, options);
-  } else if (language == "rem") {
-    GQD_ASSIGN_OR_RETURN(RemPtr expression, ParseRem(query));
-    diagnostics = LintRem(expression, options);
-  } else if (language == "ree") {
-    GQD_ASSIGN_OR_RETURN(ReePtr expression, ParseRee(query));
-    diagnostics = LintRee(expression, options);
-  } else {
-    return Status::InvalidArgument("unknown language '" + language +
-                                   "' (expected rpq, regex, rem or ree)");
-  }
-  // Anchor findings to line:column within the query text, then lift the
-  // array out of DiagnosticsToJson's {"diagnostics":[...]} wrapper so the
-  // response carries it directly.
-  ResolveDiagnosticLocations(query, &diagnostics);
+  GQD_ASSIGN_OR_RETURN(std::vector<Diagnostic> diagnostics,
+                       LintPathQuery(language, query, options));
+  // Lift the array out of DiagnosticsToJson's {"diagnostics":[...]}
+  // wrapper so the response carries it directly.
   JsonValue wrapped = EmbedJson(DiagnosticsToJson(diagnostics));
   JsonValue::Object body;
   body.emplace_back("diagnostics", *wrapped.Find("diagnostics"));

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1062,6 +1064,52 @@ TEST(CheckSetupReuse, MetricsExportSetupCountersAndHeldBytes) {
                 ->GetInt("bytes")
                 .ValueOrDie(),
             static_cast<std::int64_t>(service.registry().CheckSetupBytes()));
+}
+
+// --- Golden responses -------------------------------------------------------
+//
+// A fixed list of request lines goes through one QueryService in order:
+// load, info, single and batched eval in every language, each checker cold
+// and warm, budget trips, lint and the error paths. Every response must
+// match the recorded bytes, with trace ids and load times masked. Edit
+// responses.jsonl only when a change is meant to alter a response, and say
+// so.
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+std::string MaskVolatileFields(const std::string& response) {
+  static const std::regex kTraceId("\"trace_id\":\"[0-9a-f]+\"");
+  static const std::regex kLoadMicros("\"load_micros\":[0-9]+");
+  std::string masked =
+      std::regex_replace(response, kTraceId, "\"trace_id\":\"MASKED\"");
+  return std::regex_replace(masked, kLoadMicros, "\"load_micros\":0");
+}
+
+TEST(ServeGolden, ResponsesMatchTheGoldenBytes) {
+  const std::string dir = GQD_TESTS_DATA_DIR "/golden_serve/";
+  QueryService service;
+  std::vector<std::string> requests;
+  std::vector<std::string> responses;
+  for (const std::string& line : ReadLines(dir + "requests.jsonl")) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    requests.push_back(line);
+    responses.push_back(MaskVolatileFields(Handle(&service, line)));
+  }
+  ASSERT_GT(requests.size(), 30u);
+  std::vector<std::string> expected = ReadLines(dir + "responses.jsonl");
+  ASSERT_EQ(expected.size(), responses.size());
+  for (std::size_t i = 0; i < responses.size(); i++) {
+    EXPECT_EQ(responses[i], expected[i]) << "request: " << requests[i];
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // gqd — the command-line interface to the library.
 //
-//   gqd eval <graph> <regex|rem|ree> <expression> [--explain <u> <v>]
+//   gqd eval <graph> <rpq|regex|rem|ree> <expression> [--explain <u> <v>]
 //            [--preflight] [--trace-out <file>]
 //   gqd check <graph> <relation> [--language all|rpq|rem|ree|ucrdpq] [--k N]
 //             [--relation-backend auto|dense|sparse|blocked] [--json]
@@ -12,7 +12,7 @@
 //   gqd gen scale-free|grid --out <file> [...]  # synthetic graphs
 //   gqd gen relation --graph <file> --out FILE  # synthetic sparse relation
 //   gqd compile <rem> [--graph <file>] [--k N] [--json] [--plan-out FILE]
-//   gqd lint <regex|rem|ree> <expression> [--graph <file>] [--json]
+//   gqd lint <rpq|regex|rem|ree> <expression> [--graph <file>] [--json]
 //   gqd lint --suite <file> [--graph <file>] [--json]
 //   gqd info <graph|relation> [--dot|--json]
 //   gqd serve [--port N] [--threads N] [--cache N] [--graph <file>]...
@@ -35,9 +35,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,9 +76,9 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  gqd eval <graph> <regex|rem|ree> <expression> [--explain u v]"
-      " [--preflight]\n"
-      "           [--max-bytes N] [--max-tuples N] [--trace-out FILE]\n"
+      "  gqd eval <graph> <rpq|regex|rem|ree> <expression> [--explain u v]\n"
+      "           [--preflight] [--max-bytes N] [--max-tuples N]"
+      " [--trace-out FILE]\n"
       "  gqd check <graph> <relation> [--language all|rpq|rem|ree|ucrdpq]"
       " [--k N]\n"
       "            [--threads N] [--max-tuples N] [--max-bytes N]\n"
@@ -96,8 +100,8 @@ int Usage() {
       "          | --word a.b] [--seed S] [--text]\n"
       "  gqd compile <rem-expression> [--graph <file>] [--k N] [--json]\n"
       "              [--plan-out FILE]\n"
-      "  gqd lint <regex|rem|ree> <expression> [--graph <file>] [--json]"
-      " [--no-notes]\n"
+      "  gqd lint <rpq|regex|rem|ree> <expression> [--graph <file>] [--json]\n"
+      "           [--no-notes]\n"
       "  gqd lint --suite <file> [--graph <file>] [--json]\n"
       "  gqd info <graph|relation> [--dot|--json]\n"
       "  gqd serve [--port N] [--threads N] [--cache N] [--graph <file>]..."
@@ -356,17 +360,6 @@ bool BudgetFromFlags(int argc, char** argv,
   return true;
 }
 
-/// Prints a checker's partial-progress report (budget trips) to stderr and
-/// reports whether one was present — the caller exits 4 in that case.
-bool ReportPartial(const std::optional<PartialProgress>& partial) {
-  if (!partial.has_value()) {
-    return false;
-  }
-  std::fprintf(stderr, "partial progress: %s\n",
-               PartialProgressToString(*partial).c_str());
-  return true;
-}
-
 int CmdEval(int argc, char** argv) {
   if (argc < 3) {
     return Usage();
@@ -378,113 +371,61 @@ int CmdEval(int argc, char** argv) {
   }
   const DataGraph& graph = *loaded.value().graph;
   std::string language = argv[1];
-  std::string text = argv[2];
-  // Opt-in pre-flight: reject error-level lint findings before evaluating.
-  bool preflight = HasFlag(argc - 3, argv + 3, "--preflight");
-  auto run_preflight = [&](const PathExpression& expression) {
-    return preflight ? PreflightPathExpression(graph, expression)
-                     : Status::OK();
-  };
   // Optional resource budget; an exceeded budget exits 4 with a
   // ResourceExhausted error instead of exhausting host memory.
   std::optional<ResourceBudget> budget;
-  if (!BudgetFromFlags(argc - 3, argv + 3, &budget, /*tuples_axis=*/true)) {
+  if (!BudgetFromFlags(argc - 3, argv + 3, &budget, /*tuples_axis=*/true) ||
+      !IsPathQueryLanguage(language)) {
     return Usage();
+  }
+  auto expression = ParsePathQuery(language, argv[2]);
+  if (!expression.ok()) {
+    return Fail(expression.status());
+  }
+  // Opt-in pre-flight: reject error-level lint findings before evaluating.
+  if (HasFlag(argc - 3, argv + 3, "--preflight")) {
+    Status admitted = PreflightPathExpression(graph, expression.value());
+    if (!admitted.ok()) {
+      return Fail(admitted);
+    }
   }
   EvalOptions eval_options;
   eval_options.budget = budget.has_value() ? &budget.value() : nullptr;
-  BinaryRelation result(graph.NumNodes());
-  if (language == "regex") {
-    auto e = ParseRegex(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    Status admitted = run_preflight(e.value());
-    if (!admitted.ok()) {
-      return Fail(admitted);
-    }
-    auto evaluated = EvaluateRpq(graph, e.value(), eval_options);
-    if (!evaluated.ok()) {
-      return Fail(evaluated.status());
-    }
-    result = std::move(evaluated).value();
-  } else if (language == "rem") {
-    auto e = ParseRem(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    Status admitted = run_preflight(e.value());
-    if (!admitted.ok()) {
-      return Fail(admitted);
-    }
-    auto evaluated = EvaluateRem(graph, e.value(), eval_options);
-    if (!evaluated.ok()) {
-      return Fail(evaluated.status());
-    }
-    result = std::move(evaluated).value();
-  } else if (language == "ree") {
-    auto e = ParseRee(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    Status admitted = run_preflight(e.value());
-    if (!admitted.ok()) {
-      return Fail(admitted);
-    }
-    auto evaluated = EvaluateRee(graph, e.value(), eval_options);
-    if (!evaluated.ok()) {
-      return Fail(evaluated.status());
-    }
-    result = std::move(evaluated).value();
-  } else {
-    return Usage();
+  auto result = EvaluatePathExpression(graph, expression.value(), eval_options);
+  if (!result.ok()) {
+    return Fail(result.status());
   }
-  std::printf("%s\n", result.ToString(graph).c_str());
+  std::printf("%s\n", result.value().ToString(graph).c_str());
 
-  const char* explain_at = FlagValue(argc - 3, argv + 3, "--explain");
-  if (explain_at != nullptr) {
-    // --explain u v: the two node names follow the flag.
-    int index = -1;
-    for (int i = 3; i < argc; i++) {
-      if (std::strcmp(argv[i], "--explain") == 0) {
-        index = i;
-        break;
-      }
+  // --explain u v: the two node names follow the flag.
+  for (int i = 3; i < argc; i++) {
+    if (std::strcmp(argv[i], "--explain") != 0 || i + 1 == argc) {
+      continue;
     }
-    if (index < 0 || index + 2 >= argc) {
+    if (i + 2 == argc) {
       return Usage();
     }
-    auto u = graph.FindNode(argv[index + 1]);
-    auto v = graph.FindNode(argv[index + 2]);
+    auto u = graph.FindNode(argv[i + 1]);
+    auto v = graph.FindNode(argv[i + 2]);
     if (!u.ok()) {
       return Fail(u.status());
     }
     if (!v.ok()) {
       return Fail(v.status());
     }
-    std::optional<ExplainedPath> witness;
-    if (language == "regex") {
-      witness = ExplainRpqPair(graph,
-                               ParseRegex(text).ValueOrDie(), u.value(),
-                               v.value());
-    } else if (language == "rem") {
-      witness = ExplainRemPair(graph, ParseRem(text).ValueOrDie(),
-                               u.value(), v.value());
-    } else {
-      witness = ExplainReePair(graph, ParseRee(text).ValueOrDie(),
-                               u.value(), v.value());
-    }
+    std::optional<ExplainedPath> witness =
+        ExplainPathPair(graph, expression.value(), u.value(), v.value());
     if (!witness.has_value()) {
-      std::printf("(%s, %s): not in the result\n", argv[index + 1],
-                  argv[index + 2]);
+      std::printf("(%s, %s): not in the result\n", argv[i + 1], argv[i + 2]);
     } else {
-      std::printf("(%s, %s) via nodes:", argv[index + 1], argv[index + 2]);
+      std::printf("(%s, %s) via nodes:", argv[i + 1], argv[i + 2]);
       for (NodeId node : witness->nodes) {
         std::printf(" %s", graph.NodeName(node).c_str());
       }
       std::printf("\n              data path: %s\n",
                   witness->data_path.ToString(graph).c_str());
     }
+    break;
   }
   return 0;
 }
@@ -496,40 +437,38 @@ int CmdCheck(int argc, char** argv) {
   TraceWriter trace(TraceOutPath(argc, argv));
   auto check_start = std::chrono::steady_clock::now();
   // Flags first: a malformed one is a usage error (exit 2) before any work.
-  // --max-bytes attaches a byte budget: a trip stops the checker with
-  // verdict budget-exhausted plus a partial-progress report, and exit 4.
+  // --max-bytes attaches a byte budget and --max-tuples caps the checkers'
+  // searches: a trip stops the checker with verdict budget-exhausted, and
+  // exit 4.
   std::optional<ResourceBudget> budget;
   RelationBackend backend_choice = RelationBackend::kAuto;
   const char* backend_flag = FlagValue(argc, argv, "--relation-backend");
   const char* language_flag = FlagValue(argc, argv, "--language");
   std::string language = language_flag != nullptr ? language_flag : "all";
-  std::size_t k = 2;
-  KRemDefinabilityOptions krem_options;
-  ReeDefinabilityOptions ree_options;
+  CheckRequest request;
+  std::size_t max_tuples = 0;
   if (!BudgetFromFlags(argc, argv, &budget, /*tuples_axis=*/false) ||
       (backend_flag != nullptr &&
        !ParseRelationBackend(backend_flag, &backend_choice)) ||
-      !UnsignedFlag(argc, argv, "--k", &k) ||
-      !UnsignedFlag(argc, argv, "--threads", &krem_options.num_threads) ||
-      !UnsignedFlag(argc, argv, "--max-tuples", &krem_options.max_tuples)) {
+      !UnsignedFlag(argc, argv, "--k", &request.k) ||
+      !UnsignedFlag(argc, argv, "--threads", &request.num_threads) ||
+      !UnsignedFlag(argc, argv, "--max-tuples", &max_tuples)) {
     return Usage();
   }
-  if (language != "all" && language != "rpq" && language != "rem" &&
-      language != "ree" && language != "ucrdpq") {
+  // The CLI names the k-REM checker `rem`, serve `krem`.
+  Checker only = Checker::kRpq;
+  if (language != "all" &&
+      (language == "krem" ||
+       !ParseChecker(language == "rem" ? "krem" : language, &only))) {
     std::fprintf(stderr, "error: unknown --language '%s'\n",
                  language.c_str());
     return Usage();
   }
   if (FlagValue(argc, argv, "--max-tuples") != nullptr) {
-    ree_options.max_monoid_size = krem_options.max_tuples;
+    request.max_tuples = max_tuples;
   }
   bool json = HasFlag(argc, argv, "--json");
-  const ResourceBudget* budget_ptr =
-      budget.has_value() ? &budget.value() : nullptr;
-  krem_options.budget = budget_ptr;
-  ree_options.budget = budget_ptr;
-  UcrdpqDefinabilityOptions ucrdpq_options;
-  ucrdpq_options.csp.budget = budget_ptr;
+  request.budget = budget.has_value() ? &budget.value() : nullptr;
 
   auto loaded = LoadGraph(argv[0]);
   if (!loaded.ok()) {
@@ -549,7 +488,7 @@ int CmdCheck(int argc, char** argv) {
   const std::size_t n = graph.NumNodes();
   const std::size_t nnz = pairs.value().size();
   RelationAdmission admission = AdmitRelation(
-      n, std::move(pairs).value(), backend_choice, budget_ptr);
+      n, std::move(pairs).value(), backend_choice, request.budget);
   if (!admission.status.ok()) {
     std::fprintf(stderr,
                  "admission: %s relation backend estimated at %zu bytes"
@@ -562,73 +501,57 @@ int CmdCheck(int argc, char** argv) {
   const AdaptiveRelation& relation = admission.relation;
 
   int exit_code = 0;
-  std::vector<std::pair<std::string, DefinabilityVerdict>> verdicts;
-  auto record = [&](std::string name, DefinabilityVerdict verdict,
-                    const std::optional<PartialProgress>& partial) {
+  JsonValue::Object verdicts;
+  JsonValue::Object checkers;
+  for (Checker checker :
+       {Checker::kRpq, Checker::kKRem, Checker::kRee, Checker::kUcrdpq}) {
+    if (language != "all" && checker != only) {
+      continue;
+    }
+    const std::string name =
+        checker == Checker::kKRem ? "rem" : CheckerName(checker);
+    request.checker = checker;
+    auto answer = RunCheck(graph, relation, request, nullptr, nullptr);
+    if (!answer.ok()) {
+      return Fail(answer.status());
+    }
+    const DefinabilityVerdict verdict = answer.value().verdict;
     if (!json) {
-      std::printf("%-10s %s\n", name.c_str(),
+      std::string label = checker == Checker::kKRem
+                              ? "rem(k=" + std::to_string(request.k) + ")"
+                              : name;
+      std::printf("%-10s %s\n", label.c_str(),
                   DefinabilityVerdictToString(verdict));
     }
-    verdicts.emplace_back(std::move(name), verdict);
-    if (ReportPartial(partial)) {
+    verdicts.emplace_back(name,
+                          std::string(DefinabilityVerdictToString(verdict)));
+    checkers.emplace_back(name, CheckAnswerToJson(answer.value()));
+    if (const auto& partial = answer.value().partial) {
+      std::fprintf(stderr, "partial progress: %s\n",
+                   PartialProgressToString(*partial).c_str());
+    }
+    if (verdict == DefinabilityVerdict::kBudgetExhausted ||
+        answer.value().partial.has_value()) {
       exit_code = 4;
     }
-  };
-  if (language == "all" || language == "rpq") {
-    auto r = CheckRpqDefinability(graph, relation, krem_options);
-    if (!r.ok()) {
-      return Fail(r.status());
-    }
-    record("rpq", r.value().verdict, r.value().partial);
-  }
-  if (language == "all" || language == "rem") {
-    auto r = CheckKRemDefinability(graph, relation, k, krem_options);
-    if (!r.ok()) {
-      return Fail(r.status());
-    }
-    record(json ? "rem" : "rem(k=" + std::to_string(k) + ")",
-           r.value().verdict, r.value().partial);
-  }
-  if (language == "all" || language == "ree") {
-    auto r = CheckReeDefinability(graph, relation, ree_options);
-    if (!r.ok()) {
-      return Fail(r.status());
-    }
-    record("ree", r.value().verdict, r.value().partial);
-  }
-  if (language == "all" || language == "ucrdpq") {
-    auto r = CheckUcrdpqDefinability(graph, relation, ucrdpq_options);
-    if (!r.ok()) {
-      return Fail(r.status());
-    }
-    record("ucrdpq", r.value().verdict, r.value().partial);
   }
   if (json) {
-    // One object the bench harness can diff across backends: verdicts plus
-    // what the relation actually cost to hold and how long the whole
-    // command took.
+    // One object the bench harness can diff across backends: verdicts,
+    // each checker's answer, what the relation actually cost to hold and
+    // how long the whole command took.
     auto wall = std::chrono::steady_clock::now() - check_start;
     struct rusage usage {};
     getrusage(RUSAGE_SELF, &usage);
-    std::string out = "{\"verdicts\":{";
-    for (std::size_t i = 0; i < verdicts.size(); i++) {
-      if (i > 0) {
-        out += ",";
-      }
-      out += "\"" + verdicts[i].first + "\":\"" +
-             DefinabilityVerdictToString(verdicts[i].second) + "\"";
-    }
-    char tail[256];
-    std::snprintf(
-        tail, sizeof(tail),
-        "},\"relation\":{\"backend\":\"%s\",\"nnz\":%zu,\"bytes\":%zu},"
-        "\"wall_ms\":%.3f,\"peak_rss_kb\":%llu}",
+    std::printf(
+        "{\"verdicts\":%s,\"checkers\":%s,"
+        "\"relation\":{\"backend\":\"%s\",\"nnz\":%zu,\"bytes\":%zu},"
+        "\"wall_ms\":%.3f,\"peak_rss_kb\":%llu}\n",
+        JsonValue(std::move(verdicts)).Serialize().c_str(),
+        JsonValue(std::move(checkers)).Serialize().c_str(),
         RelationBackendName(relation.backend()), relation.Nnz(),
         relation.ByteSize(),
         std::chrono::duration<double, std::milli>(wall).count(),
         static_cast<unsigned long long>(usage.ru_maxrss));
-    out += tail;
-    std::printf("%s\n", out.c_str());
   }
   return exit_code;
 }
@@ -1195,33 +1118,14 @@ int CmdLint(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
-  std::string language = argv[0];
-  std::string text = argv[1];
-  std::vector<Diagnostic> diagnostics;
-  if (language == "regex") {
-    auto e = ParseRegex(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    diagnostics = LintRegex(e.value(), options);
-  } else if (language == "rem") {
-    auto e = ParseRem(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    diagnostics = LintRem(e.value(), options);
-  } else if (language == "ree") {
-    auto e = ParseRee(text);
-    if (!e.ok()) {
-      return Fail(e.status());
-    }
-    diagnostics = LintRee(e.value(), options);
-  } else {
+  if (!IsPathQueryLanguage(argv[0])) {
     return Usage();
   }
-  // Turn parser offsets into 1-based line:column anchors against the
-  // query text the user actually typed.
-  ResolveDiagnosticLocations(text, &diagnostics);
+  auto linted = LintPathQuery(argv[0], argv[1], options);
+  if (!linted.ok()) {
+    return Fail(linted.status());
+  }
+  const std::vector<Diagnostic>& diagnostics = linted.value();
   if (json) {
     std::printf("%s\n", DiagnosticsToJson(diagnostics).c_str());
   } else if (diagnostics.empty()) {
@@ -1500,12 +1404,236 @@ class BenchWorkerHandler : public LineHandler {
   const int service_ms_;
 };
 
+/// The eval mix both bench-serve modes send: the same queries in all three
+/// languages.
+struct BenchQuery {
+  const char* language;
+  const char* text;
+};
+constexpr BenchQuery kBenchQueries[] = {
+    {"rpq", "a+"},
+    {"rpq", "a.a"},
+    {"rem", "$r1. a+ [r1=]"},
+    {"ree", "(a.a)="},
+};
+constexpr std::size_t kNumBenchQueries = std::size(kBenchQueries);
+
+std::string BenchEvalLine(const std::string& graph, const BenchQuery& query) {
+  JsonValue::Object request;
+  request.emplace_back("cmd", "eval");
+  request.emplace_back("graph", graph);
+  request.emplace_back("language", query.language);
+  request.emplace_back("query", query.text);
+  return JsonValue(std::move(request)).Serialize();
+}
+
+/// A response without the fields that differ per request even when the
+/// answer does not: the trace id, and the router's served_by and failovers.
+std::string ResponsePayload(const std::string& response) {
+  auto parsed = JsonValue::Parse(response);
+  if (!parsed.ok() || !parsed.value().is_object()) {
+    return response;
+  }
+  JsonValue::Object kept;
+  for (const auto& [key, value] : parsed.value().AsObject()) {
+    if (key != "trace_id" && key != "served_by" && key != "failovers") {
+      kept.emplace_back(key, value);
+    }
+  }
+  return JsonValue(std::move(kept)).Serialize();
+}
+
+/// One bench-serve client load: `clients` connections to `port`, each
+/// sending `requests` lines made by `line_for(client, i)`, with
+/// CallWithRetry when `retry` is set.
+struct LoadPlan {
+  std::uint16_t port = 0;
+  std::size_t clients = 0;
+  std::size_t requests = 0;
+  std::optional<RetryPolicy> retry;
+  std::function<std::string(std::size_t client, std::size_t i)> line_for;
+  /// Every ok response must match the first ok response to the same line
+  /// (per-request fields dropped); answers are deterministic, so which
+  /// replica served is invisible.
+  bool compare_payloads = false;
+  /// A request whose every retry was shed counts as shed when set (the
+  /// cluster's failover already had its chance), as an error otherwise.
+  bool retries_shed_is_shed = false;
+};
+
+/// What a load measured. A shed answer counts as shed, every other failure
+/// as an error.
+struct LoadReport {
+  std::size_t clients = 0;
+  std::vector<std::uint64_t> latencies_us;  ///< sorted
+  std::size_t errors = 0;
+  std::size_t shed = 0;
+  std::uint64_t retries = 0;
+  std::optional<std::size_t> mismatches;  ///< set when payloads compared
+  double wall_ms = 0;
+
+  std::uint64_t Percentile(double p) const {
+    if (latencies_us.empty()) {
+      return 0;
+    }
+    return latencies_us[static_cast<std::size_t>(
+        p * static_cast<double>(latencies_us.size() - 1))];
+  }
+  double Throughput() const {
+    return wall_ms > 0 ? static_cast<double>(latencies_us.size()) /
+                             (wall_ms / 1000.0)
+                       : 0.0;
+  }
+  bool Clean() const { return errors == 0 && mismatches.value_or(0) == 0; }
+
+  /// The shared JSON fields, without braces.
+  std::string JsonFields() const {
+    char mismatch_field[48] = "";
+    if (mismatches.has_value()) {
+      std::snprintf(mismatch_field, sizeof(mismatch_field),
+                    "\"mismatches\":%zu,", *mismatches);
+    }
+    char out[512];
+    std::snprintf(
+        out, sizeof(out),
+        "\"clients\":%zu,\"requests\":%zu,\"errors\":%zu,\"shed\":%zu,"
+        "\"retries\":%llu,%s\"wall_ms\":%.3f,\"throughput_rps\":%.1f,"
+        "\"latency_us\":{\"p50\":%llu,\"p90\":%llu,\"p99\":%llu,"
+        "\"max\":%llu}",
+        clients, latencies_us.size(), errors, shed,
+        static_cast<unsigned long long>(retries), mismatch_field, wall_ms,
+        Throughput(), static_cast<unsigned long long>(Percentile(0.50)),
+        static_cast<unsigned long long>(Percentile(0.90)),
+        static_cast<unsigned long long>(Percentile(0.99)),
+        static_cast<unsigned long long>(Percentile(1.0)));
+    return out;
+  }
+
+  void PrintText() const {
+    std::printf("clients:     %zu\n", clients);
+    std::printf("requests:    %zu (%zu errors, %zu shed, %llu retries",
+                latencies_us.size(), errors, shed,
+                static_cast<unsigned long long>(retries));
+    if (mismatches.has_value()) {
+      std::printf(", %zu mismatches", *mismatches);
+    }
+    std::printf(")\nwall time:   %.1f ms\n", wall_ms);
+    std::printf("throughput:  %.1f req/s\n", Throughput());
+    const std::pair<const char*, double> kQuantiles[] = {
+        {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"max", 1.0}};
+    for (const auto& [name, p] : kQuantiles) {
+      std::printf("latency %s: %llu us\n", name,
+                  static_cast<unsigned long long>(Percentile(p)));
+    }
+  }
+};
+
+/// Runs `plan`; `during` runs on the calling thread while the clients do,
+/// with the count of completed requests.
+LoadReport DriveLoad(
+    const LoadPlan& plan,
+    const std::function<void(const std::atomic<std::size_t>&)>& during) {
+  struct Tally {
+    std::vector<std::uint64_t> latencies_us;
+    std::size_t errors = 0;
+    std::size_t shed = 0;
+    std::uint64_t retries = 0;
+  };
+  std::vector<Tally> tallies(plan.clients);
+  std::mutex canonical_mutex;
+  std::map<std::string, std::string> canonical;  // request line -> payload
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> completed{0};
+  std::vector<std::thread> clients;
+  auto start = std::chrono::steady_clock::now();
+  for (std::size_t c = 0; c < plan.clients; c++) {
+    clients.emplace_back([&, c] {
+      Tally& tally = tallies[c];
+      LineClient client;
+      if (!client.Connect(plan.port).ok()) {
+        tally.errors = plan.requests;
+        return;
+      }
+      std::optional<RetryPolicy> policy = plan.retry;
+      if (policy.has_value()) {
+        policy->jitter_seed = c;
+      }
+      tally.latencies_us.reserve(plan.requests);
+      for (std::size_t i = 0; i < plan.requests; i++) {
+        std::string line = plan.line_for(c, i);
+        auto sent = std::chrono::steady_clock::now();
+        auto response = policy.has_value()
+                            ? client.CallWithRetry(line, *policy)
+                            : client.Call(line);
+        tally.latencies_us.push_back(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - sent)
+                .count()));
+        completed.fetch_add(1, std::memory_order_relaxed);
+        if (!response.ok()) {
+          (plan.retries_shed_is_shed &&
+                   response.status().code() == StatusCode::kUnavailable
+               ? tally.shed
+               : tally.errors)++;
+          continue;
+        }
+        if (response.value().find("\"ok\":true") == std::string::npos) {
+          (response.value().find("\"code\":\"Unavailable\"") !=
+                   std::string::npos
+               ? tally.shed
+               : tally.errors)++;
+          continue;
+        }
+        if (plan.compare_payloads) {
+          std::string payload = ResponsePayload(response.value());
+          std::lock_guard<std::mutex> lock(canonical_mutex);
+          auto [it, first] = canonical.emplace(line, payload);
+          if (!first && it->second != payload) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      tally.retries = client.retries();
+    });
+  }
+  during(completed);
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  LoadReport report;
+  report.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  report.clients = plan.clients;
+  if (plan.compare_payloads) {
+    report.mismatches = mismatches.load();
+  }
+  for (const Tally& tally : tallies) {
+    report.latencies_us.insert(report.latencies_us.end(),
+                               tally.latencies_us.begin(),
+                               tally.latencies_us.end());
+    report.errors += tally.errors;
+    report.shed += tally.shed;
+    report.retries += tally.retries;
+  }
+  std::sort(report.latencies_us.begin(), report.latencies_us.end());
+  return report;
+}
+
+/// Asks the server (or router) on `port` to shut down.
+void SendShutdown(std::uint16_t port) {
+  LineClient stop;
+  if (stop.Connect(port).ok()) {
+    (void)stop.Call("{\"cmd\":\"shutdown\"}");
+  }
+}
+
 /// bench-serve --workers N: self-hosts N workers plus a routing front and
 /// drives the mixed workload through the router. --chaos-kill stops the
 /// busiest worker once a third of the requests are done, restarts it with
 /// an EMPTY registry at two thirds (so recovery genuinely depends on the
 /// router's warm replay), and the exit code demands zero client-visible
-/// errors and bit-identical verdicts across replicas and the failover.
+/// errors and identical answers across replicas and the failover.
 int CmdBenchServeCluster(int argc, char** argv) {
   std::size_t num_workers = 0;
   if (!UnsignedFlag(argc, argv, "--workers", &num_workers) ||
@@ -1514,19 +1642,20 @@ int CmdBenchServeCluster(int argc, char** argv) {
   }
   bool json = HasFlag(argc, argv, "--json");
   bool chaos_kill = HasFlag(argc, argv, "--chaos-kill");
-  std::size_t num_clients = 4 * num_workers;
-  std::size_t requests_per_client = 100;
+  LoadPlan plan;
+  plan.clients = 4 * num_workers;
+  plan.requests = 100;
   int service_ms = 4;
   RouterOptions router_options;
   router_options.replication = std::min<std::size_t>(2, num_workers);
   router_options.pool_size = 2;
-  if (!UnsignedFlag(argc, argv, "--clients", &num_clients) ||
-      !UnsignedFlag(argc, argv, "--requests", &requests_per_client) ||
+  if (!UnsignedFlag(argc, argv, "--clients", &plan.clients) ||
+      !UnsignedFlag(argc, argv, "--requests", &plan.requests) ||
       !UnsignedFlag(argc, argv, "--service-ms", &service_ms) ||
       !UnsignedFlag(argc, argv, "--replication",
                     &router_options.replication) ||
       !UnsignedFlag(argc, argv, "--pool", &router_options.pool_size) ||
-      num_clients == 0 || requests_per_client == 0) {
+      plan.clients == 0 || plan.requests == 0) {
     return Usage();
   }
 
@@ -1563,7 +1692,7 @@ int CmdBenchServeCluster(int argc, char** argv) {
   if (!started_front.ok()) {
     return Fail(started_front);
   }
-  std::uint16_t port = front.port();
+  plan.port = front.port();
 
   // The workload is sharded over several distinct graphs: consistent
   // hashing places each fingerprint on its own R owners, so a multi-shard
@@ -1572,7 +1701,7 @@ int CmdBenchServeCluster(int argc, char** argv) {
   const std::size_t num_graphs = std::max<std::size_t>(8, 4 * num_workers);
   {
     LineClient setup;
-    Status connected = setup.Connect(port);
+    Status connected = setup.Connect(plan.port);
     if (!connected.ok()) {
       return Fail(connected);
     }
@@ -1600,84 +1729,14 @@ int CmdBenchServeCluster(int argc, char** argv) {
     }
   }
 
-  struct BenchQuery {
-    const char* language;
-    const char* text;
+  plan.retry.emplace();
+  plan.retry->max_attempts = 8;
+  plan.line_for = [num_graphs](std::size_t c, std::size_t i) {
+    return BenchEvalLine("bench" + std::to_string((c + i) % num_graphs),
+                         kBenchQueries[i % kNumBenchQueries]);
   };
-  const BenchQuery kQueries[] = {
-      {"rpq", "a+"},
-      {"rpq", "a.a"},
-      {"rem", "$r1. a+ [r1=]"},
-      {"ree", "(a.a)="},
-  };
-  constexpr std::size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
-
-  // Bit-identity across replicas and failover: the first ok response per
-  // (shard, query template) is canonical; every later ok response must
-  // match it byte for byte (verdicts are deterministic, so which replica
-  // served is invisible).
-  std::mutex canonical_mutex;
-  std::vector<std::string> canonical(num_graphs * kNumQueries);
-  std::atomic<std::size_t> mismatches{0};
-  std::atomic<std::size_t> completed{0};
-
-  std::vector<std::vector<std::uint64_t>> latencies_us(num_clients);
-  std::vector<std::size_t> errors(num_clients, 0);
-  std::vector<std::size_t> shed(num_clients, 0);
-  std::vector<std::uint64_t> retries(num_clients, 0);
-  std::vector<std::thread> clients;
-  auto bench_start = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < num_clients; c++) {
-    clients.emplace_back([&, c] {
-      LineClient client;
-      if (!client.Connect(port).ok()) {
-        errors[c] = requests_per_client;
-        return;
-      }
-      RetryPolicy policy;
-      policy.max_attempts = 8;
-      policy.jitter_seed = c;
-      latencies_us[c].reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; i++) {
-        std::size_t graph_index = (c + i) % num_graphs;
-        std::size_t query_index = i % kNumQueries;
-        const BenchQuery& query = kQueries[query_index];
-        JsonValue::Object request;
-        request.emplace_back("cmd", "eval");
-        request.emplace_back("graph", "bench" + std::to_string(graph_index));
-        request.emplace_back("language", query.language);
-        request.emplace_back("query", query.text);
-        std::string line = JsonValue(std::move(request)).Serialize();
-        auto start = std::chrono::steady_clock::now();
-        auto response = client.CallWithRetry(line, policy);
-        auto elapsed = std::chrono::steady_clock::now() - start;
-        latencies_us[c].push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                .count()));
-        completed.fetch_add(1, std::memory_order_relaxed);
-        if (!response.ok()) {
-          if (response.status().code() == StatusCode::kUnavailable) {
-            shed[c]++;
-          } else {
-            errors[c]++;
-          }
-          continue;
-        }
-        if (response.value().find("\"ok\":true") == std::string::npos) {
-          errors[c]++;
-          continue;
-        }
-        std::size_t key = graph_index * kNumQueries + query_index;
-        std::lock_guard<std::mutex> lock(canonical_mutex);
-        if (canonical[key].empty()) {
-          canonical[key] = response.value();
-        } else if (canonical[key] != response.value()) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      retries[c] = client.retries();
-    });
-  }
+  plan.compare_payloads = true;
+  plan.retries_shed_is_shed = true;
 
   // Chaos choreography, run from the main thread against request
   // progress: kill the busiest worker at 1/3, restart it (empty registry)
@@ -1686,44 +1745,42 @@ int CmdBenchServeCluster(int argc, char** argv) {
   std::size_t killed_index = 0;
   bool killed = false;
   bool restarted = false;
-  std::size_t total_requests = num_clients * requests_per_client;
-  if (chaos_kill) {
-    auto wait_progress = [&](std::size_t target) {
-      while (completed.load(std::memory_order_relaxed) < target) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    };
-    wait_progress(total_requests / 3);
-    Router::Snapshot snap = router.GetSnapshot();
-    for (std::size_t i = 1; i < num_workers; i++) {
-      if (snap.worker_requests[i] > snap.worker_requests[killed_index]) {
-        killed_index = i;
-      }
-    }
-    std::uint16_t killed_port = workers[killed_index]->port();
-    workers[killed_index]->Stop();
-    workers[killed_index]->Wait();
-    killed = true;
-    wait_progress(2 * total_requests / 3);
-    // Fresh service: the restarted worker remembers nothing; only the
-    // router's warm replay can make it serve its shards again.
-    services[killed_index] = std::make_unique<QueryService>();
-    handlers[killed_index]->Reset(services[killed_index].get());
-    workers[killed_index] =
-        std::make_unique<Server>(handlers[killed_index].get());
-    Status restart = workers[killed_index]->Start(killed_port);
-    restarted = restart.ok();
-    if (!restarted) {
-      std::fprintf(stderr, "warning: worker restart failed: %s\n",
-                   restart.ToString().c_str());
-    }
-  }
-
-  for (std::thread& client : clients) {
-    client.join();
-  }
-  auto wall = std::chrono::steady_clock::now() - bench_start;
-  double wall_ms = std::chrono::duration<double, std::milli>(wall).count();
+  LoadReport report =
+      DriveLoad(plan, [&](const std::atomic<std::size_t>& completed) {
+        if (!chaos_kill) {
+          return;
+        }
+        const std::size_t total_requests = plan.clients * plan.requests;
+        auto wait_progress = [&](std::size_t target) {
+          while (completed.load(std::memory_order_relaxed) < target) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+        };
+        wait_progress(total_requests / 3);
+        Router::Snapshot snap = router.GetSnapshot();
+        for (std::size_t i = 1; i < num_workers; i++) {
+          if (snap.worker_requests[i] > snap.worker_requests[killed_index]) {
+            killed_index = i;
+          }
+        }
+        std::uint16_t killed_port = workers[killed_index]->port();
+        workers[killed_index]->Stop();
+        workers[killed_index]->Wait();
+        killed = true;
+        wait_progress(2 * total_requests / 3);
+        // Fresh service: the restarted worker remembers nothing; only the
+        // router's warm replay can make it serve its shards again.
+        services[killed_index] = std::make_unique<QueryService>();
+        handlers[killed_index]->Reset(services[killed_index].get());
+        workers[killed_index] =
+            std::make_unique<Server>(handlers[killed_index].get());
+        Status restart = workers[killed_index]->Start(killed_port);
+        restarted = restart.ok();
+        if (!restarted) {
+          std::fprintf(stderr, "warning: worker restart failed: %s\n",
+                       restart.ToString().c_str());
+        }
+      });
 
   // In a chaos run, give the rejoin path a moment to complete so the
   // reported fleet state reflects recovery, not the middle of it.
@@ -1737,40 +1794,12 @@ int CmdBenchServeCluster(int argc, char** argv) {
   }
   Router::Snapshot snap = router.GetSnapshot();
 
-  std::vector<std::uint64_t> all;
-  std::size_t total_errors = 0;
-  std::size_t total_shed = 0;
-  std::uint64_t total_retries = 0;
-  for (std::size_t c = 0; c < num_clients; c++) {
-    all.insert(all.end(), latencies_us[c].begin(), latencies_us[c].end());
-    total_errors += errors[c];
-    total_shed += shed[c];
-    total_retries += retries[c];
-  }
-  std::sort(all.begin(), all.end());
-  auto percentile = [&](double p) -> std::uint64_t {
-    if (all.empty()) {
-      return 0;
-    }
-    std::size_t index =
-        static_cast<std::size_t>(p * static_cast<double>(all.size() - 1));
-    return all[index];
-  };
-  double throughput =
-      wall_ms > 0 ? static_cast<double>(all.size()) / (wall_ms / 1000.0)
-                  : 0.0;
-
   // Shut the fleet down through the router (it broadcasts to workers).
-  {
-    LineClient stop;
-    if (stop.Connect(port).ok()) {
-      (void)stop.Call("{\"cmd\":\"shutdown\"}");
-    }
-    front.Wait();
-    for (auto& worker : workers) {
-      worker->Stop();
-      worker->Wait();
-    }
+  SendShutdown(plan.port);
+  front.Wait();
+  for (auto& worker : workers) {
+    worker->Stop();
+    worker->Wait();
   }
 
   std::size_t healthy_workers = 0;
@@ -1788,22 +1817,12 @@ int CmdBenchServeCluster(int argc, char** argv) {
       worker_requests += std::to_string(snap.worker_requests[i]);
     }
     std::printf(
-        "{\"workers\":%zu,\"clients\":%zu,\"requests\":%zu,\"errors\":%zu,"
-        "\"shed\":%zu,\"retries\":%llu,\"mismatches\":%zu,"
-        "\"wall_ms\":%.3f,\"throughput_rps\":%.1f,"
-        "\"latency_us\":{\"p50\":%llu,\"p90\":%llu,\"p99\":%llu,"
-        "\"max\":%llu},"
+        "{\"workers\":%zu,%s,"
         "\"cluster\":{\"failovers\":%llu,\"sheds_returned\":%llu,"
         "\"all_down_returned\":%llu,\"warm_replays\":%llu,"
         "\"warm_lines\":%llu,\"healthy_workers\":%zu,"
         "\"killed_worker\":%d,\"worker_requests\":[%s]}}\n",
-        num_workers, num_clients, all.size(), total_errors, total_shed,
-        static_cast<unsigned long long>(total_retries),
-        mismatches.load(), wall_ms, throughput,
-        static_cast<unsigned long long>(percentile(0.50)),
-        static_cast<unsigned long long>(percentile(0.90)),
-        static_cast<unsigned long long>(percentile(0.99)),
-        static_cast<unsigned long long>(all.empty() ? 0 : all.back()),
+        num_workers, report.JsonFields().c_str(),
         static_cast<unsigned long long>(snap.failovers),
         static_cast<unsigned long long>(snap.sheds_returned),
         static_cast<unsigned long long>(snap.all_down_returned),
@@ -1815,17 +1834,7 @@ int CmdBenchServeCluster(int argc, char** argv) {
     std::printf("workers:     %zu (replication %zu, pool %zu)\n", num_workers,
                 std::min(router_options.replication, num_workers),
                 router_options.pool_size);
-    std::printf("clients:     %zu\n", num_clients);
-    std::printf("requests:    %zu (%zu errors, %zu shed, %llu retries, "
-                "%zu mismatches)\n",
-                all.size(), total_errors, total_shed,
-                static_cast<unsigned long long>(total_retries),
-                mismatches.load());
-    std::printf("wall time:   %.1f ms\n", wall_ms);
-    std::printf("throughput:  %.1f req/s\n", throughput);
-    std::printf("latency p50: %llu us   p99: %llu us\n",
-                static_cast<unsigned long long>(percentile(0.50)),
-                static_cast<unsigned long long>(percentile(0.99)));
+    report.PrintText();
     std::printf("cluster:     %llu failovers, %llu warm replays "
                 "(%llu lines), %zu/%zu workers healthy\n",
                 static_cast<unsigned long long>(snap.failovers),
@@ -1837,7 +1846,7 @@ int CmdBenchServeCluster(int argc, char** argv) {
                   killed_index);
     }
   }
-  return (total_errors == 0 && mismatches.load() == 0) ? 0 : 1;
+  return report.Clean() ? 0 : 1;
 }
 
 int CmdBenchServe(int argc, char** argv) {
@@ -1845,23 +1854,25 @@ int CmdBenchServe(int argc, char** argv) {
     return CmdBenchServeCluster(argc, argv);
   }
   bool json = HasFlag(argc, argv, "--json");
-  // Overload mode: --max-concurrent/--max-queue configure the self-hosted
-  // server's admission gate; --retry makes clients use CallWithRetry so
-  // shed requests back off and complete instead of counting as errors.
-  bool retry = HasFlag(argc, argv, "--retry");
-  std::size_t num_clients = 4;
-  std::size_t requests_per_client = 200;
-  std::uint16_t port = 0;
+  LoadPlan plan;
+  plan.clients = 4;
+  plan.requests = 200;
   ServiceOptions service_options;
-  if (!UnsignedFlag(argc, argv, "--clients", &num_clients) ||
-      !UnsignedFlag(argc, argv, "--requests", &requests_per_client) ||
-      !UnsignedFlag(argc, argv, "--port", &port) ||
+  if (!UnsignedFlag(argc, argv, "--clients", &plan.clients) ||
+      !UnsignedFlag(argc, argv, "--requests", &plan.requests) ||
+      !UnsignedFlag(argc, argv, "--port", &plan.port) ||
       !UnsignedFlag(argc, argv, "--max-concurrent",
                     &service_options.admission.max_concurrent) ||
       !UnsignedFlag(argc, argv, "--max-queue",
                     &service_options.admission.max_queue) ||
-      num_clients == 0 || requests_per_client == 0) {
+      plan.clients == 0 || plan.requests == 0) {
     return Usage();
+  }
+  // Overload mode: --max-concurrent/--max-queue configure the self-hosted
+  // server's admission gate; --retry makes clients use CallWithRetry so
+  // shed requests back off and complete instead of counting as shed.
+  if (HasFlag(argc, argv, "--retry")) {
+    plan.retry.emplace();
   }
 
   // Self-host unless pointed at a running server.
@@ -1873,13 +1884,13 @@ int CmdBenchServe(int argc, char** argv) {
     if (!started.ok()) {
       return Fail(started);
     }
-    port = server.port();
+    plan.port = server.port();
   }
 
   // Load the paper's Figure-1 graph and query it in all three languages.
   {
     LineClient setup;
-    Status connected = setup.Connect(port);
+    Status connected = setup.Connect(plan.port);
     if (!connected.ok()) {
       return Fail(connected);
     }
@@ -1892,135 +1903,21 @@ int CmdBenchServe(int argc, char** argv) {
       return Fail(response.status());
     }
   }
-  struct BenchQuery {
-    const char* language;
-    const char* text;
+  plan.line_for = [](std::size_t c, std::size_t i) {
+    return BenchEvalLine("bench", kBenchQueries[(c + i) % kNumBenchQueries]);
   };
-  const BenchQuery kQueries[] = {
-      {"rpq", "a+"},
-      {"rpq", "a.a"},
-      {"rem", "$r1. a+ [r1=]"},
-      {"ree", "(a.a)="},
-  };
-  constexpr std::size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
-
-  std::vector<std::vector<std::uint64_t>> latencies_us(num_clients);
-  std::vector<std::size_t> errors(num_clients, 0);
-  std::vector<std::size_t> shed(num_clients, 0);
-  std::vector<std::uint64_t> retries(num_clients, 0);
-  std::vector<std::thread> clients;
-  auto bench_start = std::chrono::steady_clock::now();
-  for (std::size_t c = 0; c < num_clients; c++) {
-    clients.emplace_back([&, c] {
-      LineClient client;
-      if (!client.Connect(port).ok()) {
-        errors[c] = requests_per_client;
-        return;
-      }
-      RetryPolicy policy;
-      policy.jitter_seed = c;
-      latencies_us[c].reserve(requests_per_client);
-      for (std::size_t i = 0; i < requests_per_client; i++) {
-        const BenchQuery& query = kQueries[(c + i) % kNumQueries];
-        JsonValue::Object request;
-        request.emplace_back("cmd", "eval");
-        request.emplace_back("graph", "bench");
-        request.emplace_back("language", query.language);
-        request.emplace_back("query", query.text);
-        std::string line = JsonValue(std::move(request)).Serialize();
-        auto start = std::chrono::steady_clock::now();
-        auto response = retry ? client.CallWithRetry(line, policy)
-                              : client.Call(line);
-        auto elapsed = std::chrono::steady_clock::now() - start;
-        latencies_us[c].push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                .count()));
-        if (!response.ok()) {
-          errors[c]++;
-        } else if (response.value().find("\"ok\":true") ==
-                   std::string::npos) {
-          // Without --retry a load-shed response is expected degradation,
-          // tallied separately from hard errors.
-          if (response.value().find("\"code\":\"Unavailable\"") !=
-              std::string::npos) {
-            shed[c]++;
-          } else {
-            errors[c]++;
-          }
-        }
-      }
-      retries[c] = client.retries();
-    });
-  }
-  for (std::thread& client : clients) {
-    client.join();
-  }
-  auto wall = std::chrono::steady_clock::now() - bench_start;
-  double wall_ms = std::chrono::duration<double, std::milli>(wall).count();
-
-  std::vector<std::uint64_t> all;
-  std::size_t total_errors = 0;
-  std::size_t total_shed = 0;
-  std::uint64_t total_retries = 0;
-  for (std::size_t c = 0; c < num_clients; c++) {
-    all.insert(all.end(), latencies_us[c].begin(), latencies_us[c].end());
-    total_errors += errors[c];
-    total_shed += shed[c];
-    total_retries += retries[c];
-  }
-  std::sort(all.begin(), all.end());
-  auto percentile = [&](double p) -> std::uint64_t {
-    if (all.empty()) {
-      return 0;
-    }
-    std::size_t index = static_cast<std::size_t>(
-        p * static_cast<double>(all.size() - 1));
-    return all[index];
-  };
-  double throughput =
-      wall_ms > 0 ? static_cast<double>(all.size()) / (wall_ms / 1000.0)
-                  : 0.0;
+  LoadReport report = DriveLoad(plan, [](const std::atomic<std::size_t>&) {});
 
   if (self_hosted) {
-    LineClient stop;
-    if (stop.Connect(port).ok()) {
-      (void)stop.Call("{\"cmd\":\"shutdown\"}");
-    }
+    SendShutdown(plan.port);
     server.Wait();
   }
-
   if (json) {
-    std::printf(
-        "{\"clients\":%zu,\"requests\":%zu,\"errors\":%zu,"
-        "\"shed\":%zu,\"retries\":%llu,"
-        "\"wall_ms\":%.3f,\"throughput_rps\":%.1f,"
-        "\"latency_us\":{\"p50\":%llu,\"p90\":%llu,\"p99\":%llu,"
-        "\"max\":%llu}}\n",
-        num_clients, all.size(), total_errors, total_shed,
-        static_cast<unsigned long long>(total_retries), wall_ms, throughput,
-        static_cast<unsigned long long>(percentile(0.50)),
-        static_cast<unsigned long long>(percentile(0.90)),
-        static_cast<unsigned long long>(percentile(0.99)),
-        static_cast<unsigned long long>(
-            all.empty() ? 0 : all.back()));
+    std::printf("{%s}\n", report.JsonFields().c_str());
   } else {
-    std::printf("clients:     %zu\n", num_clients);
-    std::printf("requests:    %zu (%zu errors, %zu shed, %llu retries)\n",
-                all.size(), total_errors, total_shed,
-                static_cast<unsigned long long>(total_retries));
-    std::printf("wall time:   %.1f ms\n", wall_ms);
-    std::printf("throughput:  %.1f req/s\n", throughput);
-    std::printf("latency p50: %llu us\n",
-                static_cast<unsigned long long>(percentile(0.50)));
-    std::printf("latency p90: %llu us\n",
-                static_cast<unsigned long long>(percentile(0.90)));
-    std::printf("latency p99: %llu us\n",
-                static_cast<unsigned long long>(percentile(0.99)));
-    std::printf("latency max: %llu us\n",
-                static_cast<unsigned long long>(
-                    all.empty() ? 0 : all.back()));
+    report.PrintText();
   }
-  return total_errors == 0 ? 0 : 1;
+  return report.Clean() ? 0 : 1;
 }
 
 }  // namespace
