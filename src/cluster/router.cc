@@ -2,74 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <limits>
 #include <utility>
 
 #include "common/status.h"
+#include "graph/serialization.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "runtime/command.h"
 
 namespace gqd {
 
 namespace {
-
-/// Mirrors QueryService's error envelope so clients cannot tell a
-/// router-originated error from a worker one.
-JsonValue ErrorBody(const JsonValue* id, const Status& status,
-                    std::int64_t retry_after_ms) {
-  JsonValue::Object error;
-  error.emplace_back("code", std::string(StatusCodeToString(status.code())));
-  error.emplace_back("message", status.message());
-  if (retry_after_ms >= 0) {
-    error.emplace_back("retry_after_ms", static_cast<double>(retry_after_ms));
-  }
-  JsonValue::Object response;
-  if (id != nullptr) {
-    response.emplace_back("id", *id);
-  }
-  response.emplace_back("ok", false);
-  response.emplace_back("error", JsonValue(std::move(error)));
-  return JsonValue(std::move(response));
-}
-
-/// Classifies a worker response line without re-serializing it. A shed is
-/// ok:false + code Unavailable (hint extracted when present); state loss
-/// is ok:false + code NotFound on a graph the routing table says this
-/// worker owns.
-struct ResponseClass {
-  bool shed = false;
-  bool not_found = false;
-  std::int64_t retry_after_ms = -1;
-};
-
-ResponseClass ClassifyWorkerResponse(const std::string& response) {
-  ResponseClass out;
-  // Fast path: successful responses skip the parse.
-  if (response.find("\"ok\":false") == std::string::npos) {
-    return out;
-  }
-  auto parsed = JsonValue::Parse(response);
-  if (!parsed.ok() || !parsed.value().is_object()) {
-    return out;
-  }
-  const JsonValue* error = parsed.value().Find("error");
-  if (error == nullptr || !error->is_object()) {
-    return out;
-  }
-  auto code = error->GetStringOr("code", "");
-  if (!code.ok()) {
-    return out;
-  }
-  if (code.value() == "Unavailable") {
-    out.shed = true;
-    auto hint = error->GetIntOr("retry_after_ms", -1);
-    out.retry_after_ms = hint.ok() ? hint.value() : -1;
-  } else if (code.value() == "NotFound") {
-    out.not_found = true;
-  }
-  return out;
-}
 
 std::string WorkerLabel(std::size_t index) { return std::to_string(index); }
 
@@ -113,19 +57,6 @@ std::int64_t WallMsNow() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-}
-
-/// Wraps a handler body in the ok envelope, echoing the request id.
-std::string OkLine(const JsonValue* id, JsonValue inner) {
-  JsonValue::Object body;
-  if (id != nullptr) {
-    body.emplace_back("id", *id);
-  }
-  body.emplace_back("ok", true);
-  for (const auto& [key, value] : inner.AsObject()) {
-    body.emplace_back(key, value);
-  }
-  return JsonValue(std::move(body)).Serialize();
 }
 
 }  // namespace
@@ -185,44 +116,41 @@ void Router::Stop() {
   if (!options_.trace_out.empty()) {
     std::lock_guard<std::mutex> lock(sink_mutex_);
     if (!trace_sink_.empty()) {
-      std::ofstream out(options_.trace_out);
-      if (out) {
-        out << MergedTraceToChromeJson(trace_sink_) << '\n';
-      }
+      (void)WriteStringToFile(options_.trace_out,
+                              MergedTraceToChromeJson(trace_sink_) + "\n");
     }
   }
-}
-
-std::string Router::ErrorLine(const JsonValue* id, const Status& status,
-                              std::int64_t retry_after_ms) const {
-  return ErrorBody(id, status, retry_after_ms).Serialize();
 }
 
 std::string Router::HandleLine(const std::string& line, bool* shutdown) {
   auto start = std::chrono::steady_clock::now();
   auto parsed = JsonValue::Parse(line);
   if (!parsed.ok()) {
-    return ErrorLine(nullptr, parsed.status());
+    return ErrorResponse(nullptr, parsed.status()).Serialize();
   }
   if (!parsed.value().is_object()) {
-    return ErrorLine(nullptr,
-                     Status::InvalidArgument("request must be a JSON object"));
+    Status not_object =
+        Status::InvalidArgument("request must be a JSON object");
+    return ErrorResponse(nullptr, not_object).Serialize();
   }
   const JsonValue& request = parsed.value();
   const JsonValue* id = request.Find("id");
   auto cmd = request.GetString("cmd");
   if (!cmd.ok()) {
-    return ErrorLine(id, cmd.status());
+    return ErrorResponse(id, cmd.status()).Serialize();
   }
   std::string response;
   if (cmd.value() == "ping") {
-    response = OkLine(id, HandlePing());
+    response = OkResponse(id, HandlePing()).Serialize();
   } else if (cmd.value() == "stats") {
-    response = OkLine(id, HandleStats());
+    response = OkResponse(id, HandleStats()).Serialize();
   } else if (cmd.value() == "metrics") {
-    response = OkLine(id, HandleMetricsCmd());
+    response = OkResponse(id, HandleMetricsCmd()).Serialize();
   } else if (cmd.value() == "log") {
-    response = OkLine(id, HandleLogCmd(request));
+    auto log = LogRequest(request);
+    response = (log.ok() ? OkResponse(id, log.value())
+                         : ErrorResponse(id, log.status()))
+                   .Serialize();
   } else if (cmd.value() == "shutdown") {
     *shutdown = true;
     response = HandleShutdown(id);
@@ -348,22 +276,6 @@ JsonValue Router::HandleStats() {
   return JsonValue(std::move(body));
 }
 
-JsonValue Router::HandleLogCmd(const JsonValue& request) const {
-  LogLevel min_level = LogLevel::kDebug;
-  if (const JsonValue* level_field = request.Find("min_level")) {
-    if (level_field->is_string()) {
-      (void)ParseLogLevel(level_field->AsString(), &min_level);
-    }
-  }
-  const EventLog& log = EventLog::Global();
-  JsonValue::Object body;
-  body.emplace_back("events",
-                    JsonValue::Parse(log.ToJsonArray(min_level)).ValueOrDie());
-  body.emplace_back("emitted", static_cast<double>(log.emitted()));
-  body.emplace_back("dropped", static_cast<double>(log.dropped()));
-  return JsonValue(std::move(body));
-}
-
 JsonValue Router::HandleMetricsCmd() {
   // Aggregate fleet-reported totals into gauges at scrape time, then
   // render everything as one gqd_cluster_* exposition.
@@ -407,20 +319,16 @@ std::string Router::HandleShutdown(const JsonValue* id) {
   }
   Stop();
   JsonValue::Object body;
-  if (id != nullptr) {
-    body.emplace_back("id", *id);
-  }
-  body.emplace_back("ok", true);
   body.emplace_back("stopping", true);
   body.emplace_back("role", "router");
-  return JsonValue(std::move(body)).Serialize();
+  return OkResponse(id, JsonValue(std::move(body))).Serialize();
 }
 
 std::string Router::HandleLoad(const JsonValue& request, const JsonValue* id,
                                const std::string& line) {
   auto name = request.GetString("name");
   if (!name.ok()) {
-    return ErrorLine(id, name.status());
+    return ErrorResponse(id, name.status()).Serialize();
   }
   // Seed order: ring owners of the *name* (fingerprint is unknown until a
   // worker has loaded the graph). Any live worker will do.
@@ -446,9 +354,10 @@ std::string Router::HandleLoad(const JsonValue& request, const JsonValue* id,
   if (!loaded) {
     all_down_returned_.fetch_add(1, std::memory_order_relaxed);
     all_down_total_->Inc();
-    return ErrorLine(id,
-                     Status::Unavailable("no live worker accepted the load"),
-                     options_.retry_after_ms);
+    return ErrorResponse(
+               id, Status::Unavailable("no live worker accepted the load"),
+               options_.retry_after_ms)
+        .Serialize();
   }
   graph_loads_total_->Inc();
   // A worker-side load error (bad graph text, missing file) is final —
@@ -645,15 +554,21 @@ Router::AttemptOutcome Router::AttemptReplicas(const std::string& cmd,
     if (context != nullptr) {
       out.participants.push_back(index);
     }
-    ResponseClass cls = ClassifyWorkerResponse(response.value());
-    if (cls.shed) {
+    // A shed is code Unavailable; state loss is code NotFound on a graph
+    // the routing table says this worker owns. Successful responses skip
+    // the parse.
+    ResponseError error;
+    if (response.value().find("\"ok\":false") != std::string::npos) {
+      error = ReadResponseError(response.value());
+    }
+    if (error.code == "Unavailable") {
       any_shed = true;
-      if (cls.retry_after_ms >= 0) {
-        min_retry_hint = std::min(min_retry_hint, cls.retry_after_ms);
+      if (error.retry_after_ms >= 0) {
+        min_retry_hint = std::min(min_retry_hint, error.retry_after_ms);
       }
       continue;  // an overloaded replica is not the only replica
     }
-    if (cls.not_found && table_routed) {
+    if (error.code == "NotFound" && table_routed) {
       // The routing table says this owner holds the graph but the worker
       // does not know it — it restarted and lost its registry. Flag it so
       // the health loop re-warms it, and serve from a replica meanwhile.
@@ -677,17 +592,21 @@ Router::AttemptOutcome Router::AttemptReplicas(const std::string& cmd,
         min_retry_hint == std::numeric_limits<std::int64_t>::max()
             ? options_.retry_after_ms
             : min_retry_hint;
-    out.response = ErrorLine(
-        id, Status::Unavailable("all replicas shed the request"), hint);
+    out.response =
+        ErrorResponse(id, Status::Unavailable("all replicas shed the request"),
+                      hint)
+            .Serialize();
     return out;
   }
   all_down_returned_.fetch_add(1, std::memory_order_relaxed);
   all_down_total_->Inc();
   EventLog::Global().Emit(LogLevel::kError, "cluster", "all_replicas_down",
                           {{"cmd", cmd}, {"graph", graph}});
-  out.response = ErrorLine(
-      id, Status::Unavailable("all replicas for this shard are down"),
-      options_.retry_after_ms);
+  out.response =
+      ErrorResponse(id,
+                    Status::Unavailable("all replicas for this shard are down"),
+                    options_.retry_after_ms)
+          .Serialize();
   return out;
 }
 

@@ -151,7 +151,7 @@ class Router : public LineHandler {
   /// One replica-failover pass over a shard's owners.
   struct AttemptOutcome {
     std::string response;  ///< the line to relay (success or error)
-    bool success = false;  ///< response came from a worker, not ErrorLine
+    bool success = false;  ///< response came from a worker, not the router
     int served_by = -1;    ///< worker index that produced the response
     std::uint64_t failovers = 0;  ///< replica retries within this request
     /// Workers that answered a traced roundtrip (may hold spans to drain).
@@ -168,7 +168,6 @@ class Router : public LineHandler {
   JsonValue HandlePing() const;
   JsonValue HandleStats();
   JsonValue HandleMetricsCmd();
-  JsonValue HandleLogCmd(const JsonValue& request) const;
   std::string HandleShutdown(const JsonValue* id);
   std::string HandleLoad(const JsonValue& request, const JsonValue* id,
                          const std::string& line);
@@ -200,8 +199,6 @@ class Router : public LineHandler {
 
   /// Owners for `graph` from the routing table, or the name-hash fallback.
   std::vector<std::size_t> OwnersFor(const std::string& graph);
-  std::string ErrorLine(const JsonValue* id, const Status& status,
-                        std::int64_t retry_after_ms = -1) const;
 
   void HealthLoop();
   /// Replays load lines + the recent eval log for shards `worker` owns.

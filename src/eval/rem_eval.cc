@@ -135,6 +135,10 @@ Result<BinaryRelation> EvaluateRemImpl(const DataGraph& graph,
       }
     }
   }
+  // The strided polls can miss a small search's overrun; this one cannot.
+  if (budget != nullptr) {
+    GQD_RETURN_NOT_OK(budget->Check());
+  }
   return result;
 }
 

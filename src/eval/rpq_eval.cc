@@ -26,6 +26,11 @@ Result<BinaryRelation> EvaluateRpqImpl(const DataGraph& graph,
   GQD_TRACE_SPAN_ATTR(span, "nodes", n);
   GQD_TRACE_SPAN_ATTR(span, "nfa_states", nfa.num_states);
   BinaryRelation result(n);
+  if (budget != nullptr) {
+    // The n×n result, charged as the REE evaluator charges each of its own.
+    budget->ChargeBytes(
+        static_cast<std::int64_t>(n * ((n + 63) / 64) * sizeof(std::uint64_t)));
+  }
   std::uint32_t ticks = 0;
   std::uint32_t budget_ticks = 0;
 
@@ -67,6 +72,10 @@ Result<BinaryRelation> EvaluateRpqImpl(const DataGraph& graph,
         }
       }
     }
+  }
+  // The strided polls can miss a small search's overrun; this one cannot.
+  if (budget != nullptr) {
+    GQD_RETURN_NOT_OK(budget->Check());
   }
   return result;
 }

@@ -287,4 +287,18 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return os.str();
 }
 
+Status WriteStringToFile(const std::string& path,
+                         const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    return Status::IOError("cannot open '" + path + "' for writing");
+  }
+  out << contents;
+  out.close();
+  if (!out) {
+    return Status::IOError("failed writing '" + path + "'");
+  }
+  return Status::OK();
+}
+
 }  // namespace gqd

@@ -83,6 +83,9 @@ Result<TupleRelation> ReadTupleRelationText(const DataGraph& graph,
 /// Reads a whole file into a string.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// Writes `contents` to `path`, replacing any file there.
+Status WriteStringToFile(const std::string& path, const std::string& contents);
+
 }  // namespace gqd
 
 #endif  // GQD_GRAPH_SERIALIZATION_H_

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "common/failpoint.h"
-#include "common/json.h"
+#include "runtime/command.h"
 
 namespace gqd {
 
@@ -24,34 +24,6 @@ namespace {
 GQD_FAILPOINT_DEFINE(fp_client_connect, "client.connect");
 GQD_FAILPOINT_DEFINE(fp_client_read, "client.read");
 GQD_FAILPOINT_DEFINE(fp_client_write, "client.write");
-
-/// True when `response` is a protocol-level load-shed error. Sets
-/// *retry_after_ms from the server's hint when one is present.
-bool IsOverloadResponse(const std::string& response,
-                        std::int64_t* retry_after_ms) {
-  auto parsed = JsonValue::Parse(response);
-  if (!parsed.ok() || !parsed.value().is_object()) {
-    return false;
-  }
-  const JsonValue* ok = parsed.value().Find("ok");
-  if (ok == nullptr || !ok->is_bool() || ok->AsBool()) {
-    return false;
-  }
-  const JsonValue* error = parsed.value().Find("error");
-  if (error == nullptr || !error->is_object()) {
-    return false;
-  }
-  const JsonValue* code = error->Find("code");
-  if (code == nullptr || !code->is_string() ||
-      code->AsString() != "Unavailable") {
-    return false;
-  }
-  const JsonValue* hint = error->Find("retry_after_ms");
-  if (hint != nullptr && hint->is_number() && hint->AsNumber() >= 0) {
-    *retry_after_ms = static_cast<std::int64_t>(hint->AsNumber());
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -143,8 +115,12 @@ Result<std::string> LineClient::CallWithRetry(const std::string& line,
       last = Call(line);
     }
     std::int64_t retry_after_ms = -1;
-    if (last.ok() && !IsOverloadResponse(last.value(), &retry_after_ms)) {
-      return last;  // success, or a non-retryable protocol error
+    if (last.ok()) {
+      ResponseError error = ReadResponseError(last.value());
+      if (error.code != "Unavailable") {
+        return last;  // success, or a non-retryable protocol error
+      }
+      retry_after_ms = error.retry_after_ms;  // a load shed
     }
     if (!last.ok()) {
       // Transport failure: the stream state is unknown, reconnect fresh.

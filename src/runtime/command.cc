@@ -8,6 +8,7 @@
 #include "definability/ree_definability.h"
 #include "definability/rpq_definability.h"
 #include "definability/ucrdpq_definability.h"
+#include "obs/log.h"
 #include "obs/trace.h"
 
 namespace gqd {
@@ -204,6 +205,76 @@ JsonValue::Object CheckAnswerToJson(const CheckAnswer& answer) {
     body.emplace_back("partial", JsonValue(std::move(progress)));
   }
   return body;
+}
+
+JsonValue OkResponse(const JsonValue* id, const JsonValue& body) {
+  JsonValue::Object response;
+  if (id != nullptr) {
+    response.emplace_back("id", *id);
+  }
+  response.emplace_back("ok", true);
+  for (const auto& field : body.AsObject()) {
+    response.push_back(field);
+  }
+  return JsonValue(std::move(response));
+}
+
+JsonValue ErrorResponse(const JsonValue* id, const Status& status,
+                        std::int64_t retry_after_ms) {
+  JsonValue::Object error;
+  error.emplace_back("code", std::string(StatusCodeToString(status.code())));
+  error.emplace_back("message", status.message());
+  if (retry_after_ms >= 0) {
+    error.emplace_back("retry_after_ms", static_cast<double>(retry_after_ms));
+  }
+  JsonValue::Object response;
+  if (id != nullptr) {
+    response.emplace_back("id", *id);
+  }
+  response.emplace_back("ok", false);
+  response.emplace_back("error", JsonValue(std::move(error)));
+  return JsonValue(std::move(response));
+}
+
+ResponseError ReadResponseError(const std::string& response) {
+  ResponseError out;
+  auto parsed = JsonValue::Parse(response);
+  if (!parsed.ok() || !parsed.value().is_object()) {
+    return out;
+  }
+  const JsonValue* ok = parsed.value().Find("ok");
+  const JsonValue* error = parsed.value().Find("error");
+  if (ok == nullptr || !ok->is_bool() || ok->AsBool() || error == nullptr ||
+      !error->is_object()) {
+    return out;
+  }
+  if (const JsonValue* code = error->Find("code");
+      code != nullptr && code->is_string()) {
+    out.code = code->AsString();
+  }
+  const JsonValue* hint = error->Find("retry_after_ms");
+  if (hint != nullptr && hint->is_number() && hint->AsNumber() >= 0) {
+    out.retry_after_ms = static_cast<std::int64_t>(hint->AsNumber());
+  }
+  return out;
+}
+
+Result<JsonValue> LogRequest(const JsonValue& request) {
+  LogLevel min_level = LogLevel::kDebug;
+  if (const JsonValue* level_field = request.Find("min_level")) {
+    if (!level_field->is_string() ||
+        !ParseLogLevel(level_field->AsString(), &min_level)) {
+      return Status::InvalidArgument(
+          "field 'min_level' must be debug, info, warn or error");
+    }
+  }
+  const EventLog& log = EventLog::Global();
+  JsonValue::Object body;
+  body.emplace_back("events",
+                    JsonValue::Parse(log.ToJsonArray(min_level)).ValueOrDie());
+  body.emplace_back("emitted", static_cast<double>(log.emitted()));
+  body.emplace_back("dropped", static_cast<double>(log.dropped()));
+  return JsonValue(std::move(body));
 }
 
 }  // namespace gqd

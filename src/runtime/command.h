@@ -1,4 +1,4 @@
-// The command layer shared by `gqd check` and the serve `check` request.
+// The command layer shared by the CLI, serve and route.
 //
 // A surface parses its own input (CLI flags or request fields), admits the
 // relation (storage/relation_store.h: AdmitRelation) and reports in its own
@@ -6,12 +6,15 @@
 // CheckRequest, and CheckAnswerToJson is the one JSON encoding of the
 // answer. Query parsing, evaluation, linting and explanation are the
 // PathExpression helpers of eval/query.h, eval/preflight.h and
-// eval/explain.h.
+// eval/explain.h. Serve and route answer in one response envelope
+// (OkResponse, ErrorResponse; ReadResponseError reads it back for route
+// and the client) and share the `log` request (LogRequest).
 
 #ifndef GQD_RUNTIME_COMMAND_H_
 #define GQD_RUNTIME_COMMAND_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -76,6 +79,29 @@ Result<CheckAnswer> RunCheck(const DataGraph& graph,
 /// counters (tuples_explored; levels_used and monoid_size; seeds_tried),
 /// and partial when present.
 JsonValue::Object CheckAnswerToJson(const CheckAnswer& answer);
+
+/// The ok envelope of a protocol response: the request's "id" when it has
+/// one, "ok":true, then `body`'s fields in order.
+JsonValue OkResponse(const JsonValue* id, const JsonValue& body);
+
+/// The error envelope: the request's "id" when it has one, "ok":false and
+/// "error" {code, message, retry_after_ms when `retry_after_ms` >= 0 (the
+/// backoff hint of an Unavailable or shed response)}.
+JsonValue ErrorResponse(const JsonValue* id, const Status& status,
+                        std::int64_t retry_after_ms = -1);
+
+/// What a serialized response says went wrong: its error code (empty for
+/// an ok or unreadable response) and its retry hint (-1 when it has none).
+struct ResponseError {
+  std::string code;
+  std::int64_t retry_after_ms = -1;
+};
+ResponseError ReadResponseError(const std::string& response);
+
+/// The body of a `log` request: this process's event ring at or above the
+/// optional "min_level" (debug, info, warn or error; InvalidArgument for
+/// anything else), plus the emitted and dropped counts.
+Result<JsonValue> LogRequest(const JsonValue& request);
 
 }  // namespace gqd
 

@@ -31,37 +31,16 @@ JsonValue EmbedJson(const std::string& serialized) {
   return JsonValue::Parse(serialized).ValueOrDie();
 }
 
-/// The per-graph storage block attached to load/info responses: which
-/// backend holds the graph and what loading it cost.
-JsonValue StorageInfoToJson(const GraphStoreInfo& info) {
-  JsonValue::Object storage;
-  storage.emplace_back("backend", GraphBackendName(info.backend));
-  storage.emplace_back("source_bytes",
-                       static_cast<double>(info.source_bytes));
-  storage.emplace_back("resident_bytes",
-                       static_cast<double>(info.resident_bytes));
-  storage.emplace_back("load_micros", static_cast<double>(info.load_micros));
-  return JsonValue(std::move(storage));
-}
-
-/// `retry_after_ms` >= 0 adds a backoff hint to the error object (used for
-/// Unavailable / load-shed responses).
-JsonValue ErrorResponse(const JsonValue* id, const Status& status,
-                        std::int64_t retry_after_ms = -1) {
-  JsonValue::Object error;
-  error.emplace_back("code", std::string(StatusCodeToString(status.code())));
-  error.emplace_back("message", status.message());
-  if (retry_after_ms >= 0) {
-    error.emplace_back("retry_after_ms",
-                       static_cast<double>(retry_after_ms));
-  }
-  JsonValue::Object response;
-  if (id != nullptr) {
-    response.emplace_back("id", *id);
-  }
-  response.emplace_back("ok", false);
-  response.emplace_back("error", JsonValue(std::move(error)));
-  return JsonValue(std::move(response));
+/// The body of load and info responses: the graph's name, fingerprint,
+/// storage block and shape.
+JsonValue GraphEntryToJson(const std::string& name,
+                           const RegisteredGraph& entry) {
+  JsonValue::Object body;
+  body.emplace_back("name", name);
+  body.emplace_back("fingerprint", entry.fingerprint);
+  body.emplace_back("storage", StorageInfoToJson(entry.info));
+  body.emplace_back("info", EmbedJson(WriteGraphInfoJson(*entry.graph)));
+  return JsonValue(std::move(body));
 }
 
 /// A served eval's or check's limits: "deadline_ms" (0 = none) and the
@@ -160,22 +139,11 @@ std::string QueryService::HandleLine(const std::string& line,
                                    ? admission_.retry_after_ms()
                                    : -1);
     } else {
-      JsonValue::Object body;
-      if (id != nullptr) {
-        body.emplace_back("id", *id);
-      }
-      body.emplace_back("ok", true);
-      for (auto& [key, value] : result.value().AsObject()) {
-        body.emplace_back(key, value);
-      }
-      response = JsonValue(std::move(body));
+      response = OkResponse(id, result.value());
     }
   }
-  bool ok = true;
-  if (const JsonValue* ok_field = response.Find("ok")) {
-    ok = ok_field->AsBool();
-  }
-  stats_.Record(command, ok, std::chrono::steady_clock::now() - start, code);
+  stats_.Record(command, code == StatusCode::kOk,
+                std::chrono::steady_clock::now() - start, code);
   return response.Serialize();
 }
 
@@ -285,7 +253,7 @@ Result<JsonValue> QueryService::DispatchCommand(const std::string& cmd,
     return HandleSpans(request);
   }
   if (cmd == "log") {
-    return HandleLog(request);
+    return LogRequest(request);
   }
   if (cmd == "shutdown") {
     if (shutdown != nullptr) {
@@ -330,12 +298,7 @@ Result<JsonValue> QueryService::HandleLoad(const JsonValue& request) {
        {"fingerprint", entry.fingerprint},
        {"backend", GraphBackendName(entry.info.backend)},
        {"load_micros", std::to_string(entry.info.load_micros)}});
-  JsonValue::Object body;
-  body.emplace_back("name", name);
-  body.emplace_back("fingerprint", entry.fingerprint);
-  body.emplace_back("storage", StorageInfoToJson(entry.info));
-  body.emplace_back("info", EmbedJson(WriteGraphInfoJson(*entry.graph)));
-  return JsonValue(std::move(body));
+  return GraphEntryToJson(name, entry);
 }
 
 Result<JsonValue> QueryService::EvalOne(const RegisteredGraph& entry,
@@ -483,12 +446,7 @@ Result<JsonValue> QueryService::HandleEval(const JsonValue& request) {
   results.reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); i++) {
     if (outcomes[i].ok()) {
-      JsonValue::Object entry_body;
-      entry_body.emplace_back("ok", true);
-      for (auto& [key, value] : outcomes[i].value().AsObject()) {
-        entry_body.emplace_back(key, value);
-      }
-      results.emplace_back(std::move(entry_body));
+      results.push_back(OkResponse(nullptr, outcomes[i].value()));
     } else {
       JsonValue error = ErrorResponse(nullptr, outcomes[i].status());
       JsonValue::Object entry_body = error.AsObject();
@@ -609,12 +567,7 @@ Result<JsonValue> QueryService::HandleInfo(const JsonValue& request) {
   }
   GQD_ASSIGN_OR_RETURN(RegisteredGraph entry,
                        registry_.Get(graph_name->AsString()));
-  JsonValue::Object body;
-  body.emplace_back("name", graph_name->AsString());
-  body.emplace_back("fingerprint", entry.fingerprint);
-  body.emplace_back("storage", StorageInfoToJson(entry.info));
-  body.emplace_back("info", EmbedJson(WriteGraphInfoJson(*entry.graph)));
-  return JsonValue(std::move(body));
+  return GraphEntryToJson(graph_name->AsString(), entry);
 }
 
 Result<JsonValue> QueryService::HandleStats() {
@@ -652,23 +605,6 @@ Result<JsonValue> QueryService::HandleSpans(const JsonValue& request) {
   // The drainer aligns this process's monotonic epoch with its own by
   // bracketing the roundtrip and assuming now_ns was sampled mid-flight.
   body.emplace_back("now_ns", static_cast<double>(Tracer::NowNs()));
-  return JsonValue(std::move(body));
-}
-
-Result<JsonValue> QueryService::HandleLog(const JsonValue& request) {
-  LogLevel min_level = LogLevel::kDebug;
-  if (const JsonValue* level_field = request.Find("min_level")) {
-    if (!level_field->is_string() ||
-        !ParseLogLevel(level_field->AsString(), &min_level)) {
-      return Status::InvalidArgument(
-          "field 'min_level' must be debug, info, warn or error");
-    }
-  }
-  const EventLog& log = EventLog::Global();
-  JsonValue::Object body;
-  body.emplace_back("events", EmbedJson(log.ToJsonArray(min_level)));
-  body.emplace_back("emitted", static_cast<double>(log.emitted()));
-  body.emplace_back("dropped", static_cast<double>(log.dropped()));
   return JsonValue(std::move(body));
 }
 

@@ -112,8 +112,6 @@ class QueryService : public LineHandler {
   /// trace-collect path. Responds with the span batch plus "now_ns" so the
   /// collector can align this process's monotonic clock with its own.
   Result<JsonValue> HandleSpans(const JsonValue& request);
-  /// Returns the process event-log ring ({"cmd":"log","min_level":...}).
-  Result<JsonValue> HandleLog(const JsonValue& request);
 
   /// Evaluates one query (cache-aware); used by single and batched eval.
   Result<JsonValue> EvalOne(const RegisteredGraph& entry,

@@ -337,9 +337,27 @@ const char* GraphBackendName(GraphBackend backend) {
   return backend == GraphBackend::kMapped ? "mmap" : "resident";
 }
 
+JsonValue StorageInfoToJson(const GraphStoreInfo& info) {
+  JsonValue::Object storage;
+  storage.emplace_back("backend", GraphBackendName(info.backend));
+  storage.emplace_back("source_bytes",
+                       static_cast<double>(info.source_bytes));
+  storage.emplace_back("resident_bytes",
+                       static_cast<double>(info.resident_bytes));
+  storage.emplace_back("load_micros", static_cast<double>(info.load_micros));
+  return JsonValue(std::move(storage));
+}
+
 Result<StoredGraph> GraphStore::OpenContainer(const std::string& path,
                                               const OpenOptions& options) {
   return OpenContainerImpl(path, options.validate);
+}
+
+bool IsGraphContainerFile(const std::string& path) {
+  std::ifstream probe(path, std::ios::binary);
+  std::uint32_t magic = 0;
+  probe.read(reinterpret_cast<char*>(&magic), sizeof(magic));
+  return probe.gcount() == sizeof(magic) && magic == kGraphContainerMagic;
 }
 
 Result<StoredGraph> GraphStore::OpenFile(const std::string& path,
@@ -347,16 +365,8 @@ Result<StoredGraph> GraphStore::OpenFile(const std::string& path,
   // Sniff the magic without reading the file body — the point of the
   // container is that a multi-hundred-megabyte graph never streams through
   // a parse buffer.
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) {
-      return Status::IOError("cannot open '" + path + "'");
-    }
-    std::uint32_t magic = 0;
-    probe.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (probe.gcount() == sizeof(magic) && magic == kGraphContainerMagic) {
-      return OpenContainer(path, options);
-    }
+  if (IsGraphContainerFile(path)) {
+    return OpenContainer(path, options);
   }
   GQD_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
   return FromText(text);

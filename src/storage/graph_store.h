@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "graph/data_graph.h"
 
@@ -50,6 +51,10 @@ struct GraphStoreInfo {
   std::uint64_t resident_bytes = 0; ///< heap footprint of the loaded form
   std::uint64_t load_micros = 0;    ///< parse / map + check latency
 };
+
+/// The storage block of `gqd info --json` and of serve's load/info
+/// responses: backend, source_bytes, resident_bytes and load_micros.
+JsonValue StorageInfoToJson(const GraphStoreInfo& info);
 
 /// A loaded graph plus its storage description. The shared_ptr keeps any
 /// backing mmap alive for as long as the graph is referenced.
@@ -81,6 +86,9 @@ class GraphStore {
   /// Wraps an already-built graph (generators, tests) as a StoredGraph.
   static StoredGraph FromGraph(DataGraph graph);
 };
+
+/// True iff `path` starts with the graph container magic.
+bool IsGraphContainerFile(const std::string& path);
 
 /// Deep-validates the container at `path` (checksum, invariants,
 /// fingerprint) without keeping it loaded. OK means a subsequent open

@@ -262,6 +262,19 @@ TEST_F(ClusterTest, PingReportsRouterRoleAndRoutableFleet) {
   EXPECT_EQ(parsed.value().Find("routable_workers")->AsNumber(), kWorkers);
 }
 
+TEST_F(ClusterTest, LogRejectsAnUnknownLevelAsServeDoes) {
+  std::string response = Route(R"({"id":3,"cmd":"log","min_level":"loud"})");
+  auto parsed = JsonValue::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  EXPECT_FALSE(parsed.value().Find("ok")->AsBool()) << response;
+  EXPECT_EQ(parsed.value().Find("id")->AsNumber(), 3) << response;
+  EXPECT_EQ(parsed.value().Find("error")->GetString("code").ValueOrDie(),
+            "InvalidArgument")
+      << response;
+  EXPECT_NE(Route(R"({"cmd":"log","min_level":"warn"})").find("\"ok\":true"),
+            std::string::npos);
+}
+
 TEST_F(ClusterTest, StatsAndMetricsAggregateAcrossTheFleet) {
   ASSERT_NE(LoadFig1().find("\"ok\":true"), std::string::npos);
   (void)Route(EvalLine("a+"));

@@ -546,6 +546,27 @@ TEST_F(ServeTest, NegativeBudgetIsRejected) {
   EXPECT_NE(response.find("max_bytes"), std::string::npos) << response;
 }
 
+TEST_F(ServeTest, RpqEvalOverItsTupleBudgetIsResourceExhausted) {
+  service_.registry().Register("fig1", Figure1Graph());
+  const std::string eval =
+      R"({"cmd":"eval","graph":"fig1","language":"rpq","query":"a+")";
+  // The search is far shorter than the budget's polling stride, so only
+  // the final budget check can see the overrun. (A cached result would be
+  // served without a search, so the budgeted call comes first.)
+  std::string response = Call(eval + R"(,"max_tuples":1})");
+  auto parsed = JsonValue::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  EXPECT_FALSE(parsed.value().Find("ok")->AsBool()) << response;
+  const JsonValue* error = parsed.value().Find("error");
+  ASSERT_NE(error, nullptr) << response;
+  EXPECT_EQ(error->GetString("code").ValueOrDie(), "ResourceExhausted");
+  EXPECT_NE(error->GetString("message").ValueOrDie().find(
+                "tuple budget exhausted"),
+            std::string::npos)
+      << response;
+  EXPECT_NE(Call(eval + "}").find("\"ok\":true"), std::string::npos);
+}
+
 /// A service behind a deliberately tiny admission gate — one slot, no wait
 /// queue — plus a hard instance to hold that slot for a while.
 class ServeOverloadTest : public ::testing::Test {

@@ -80,7 +80,10 @@ golden(eval_ree_explain eval ${G} ree "(friend+)=" --explain fin cam)
 golden(eval_rem_preflight eval ${G} rem "friend [r1=]" --preflight)
 golden(eval_rem_parse_error eval ${G} rem "$r1. (friend")
 usage_error(eval_unknown_language eval ${G} sparql "x")
+# --max-tuples trips exit 4 in every language, however small the search.
 golden(eval_ree_max_tuples eval ${G} ree "(friend+)=" --max-tuples 1)
+golden(eval_regex_max_tuples eval ${G} regex "friend+" --max-tuples 1)
+golden(eval_rem_max_tuples eval ${G} rem "$r1. friend+ [r1=]" --max-tuples 1)
 
 # lint, as text and as --json.
 golden(lint_rem_clean lint rem "$r1. friend+ [r1=]")

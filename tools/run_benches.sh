@@ -92,14 +92,16 @@ fi
 # 4-worker fleet behind the router. Workers model a fixed service time per
 # query, so fleet throughput scales with worker count even on a single-core
 # host; the pin below guards the router's sharded placement + replica
-# read-spreading from regressing to a single hot primary.
+# read-spreading from regressing to a single hot primary. A failed run
+# (errors or verdict mismatches exit non-zero) fails the script.
 if [[ -x "${GQD_BIN}" ]]; then
-  "${GQD_BIN}" bench-serve --workers 1 --clients 16 --requests 200 --json \
-    > "${TMP_DIR}/cluster_w1.json" \
-    || echo "warning: 1-worker cluster bench failed" >&2
-  "${GQD_BIN}" bench-serve --workers 4 --clients 16 --requests 200 --json \
-    > "${TMP_DIR}/cluster_w4.json" \
-    || echo "warning: 4-worker cluster bench failed" >&2
+  for workers in 1 4; do
+    "${GQD_BIN}" bench-serve --workers "${workers}" --clients 16 \
+      --requests 200 --json > "${TMP_DIR}/cluster_w${workers}.json" || {
+      echo "error: ${workers}-worker cluster bench failed" >&2
+      exit 1
+    }
+  done
 fi
 
 python3 - "${TMP_DIR}" "${OUT}" "${BENCHES[@]}" <<'EOF'
