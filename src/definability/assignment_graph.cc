@@ -23,22 +23,50 @@ std::uint64_t SaturatingAdd(std::uint64_t a, std::uint64_t b) {
   return a + b < a ? ~std::uint64_t{0} : a + b;
 }
 
-/// Decodes a base-(δ+1) assignment code; digit δ is ⊥.
-RegisterAssignment DecodeAssignment(std::uint64_t code, std::size_t k,
-                                    std::size_t num_values) {
-  std::uint64_t base = num_values + 1;
-  RegisterAssignment assignment(k);
+/// (δ+1)^k, saturating at the largest std::uint64_t.
+std::uint64_t CodeCount(const DataGraph& graph, std::size_t k) {
+  std::uint64_t codes = 1;
   for (std::size_t i = 0; i < k; i++) {
-    std::uint64_t digit = code % base;
-    assignment[i] = (digit == num_values)
-                        ? kEmptyRegister
-                        : static_cast<std::uint32_t>(digit);
-    code /= base;
+    codes = SaturatingMul(codes, graph.NumDataValues() + 1);
+  }
+  return codes;
+}
+
+}  // namespace
+
+AgStateSpace::AgStateSpace(const DataGraph& graph, std::size_t k)
+    : k_(static_cast<std::uint32_t>(k)),
+      num_nodes_(graph.NumNodes()),
+      num_labels_(graph.NumLabels()),
+      base_(static_cast<std::uint32_t>(graph.NumDataValues() + 1)) {
+  assert(k <= kMaxRegisters && StateCount(graph, k) <= kMaxStates);
+  codes_ = static_cast<std::uint32_t>(CodeCount(graph, k));
+}
+
+std::uint64_t AgStateSpace::StateCount(const DataGraph& graph,
+                                       std::size_t k) {
+  return SaturatingMul(graph.NumNodes(), CodeCount(graph, k));
+}
+
+RegisterAssignment AgStateSpace::AssignmentOf(AgState state) const {
+  std::uint32_t code = state % codes_;
+  RegisterAssignment assignment(k_);
+  for (std::size_t i = 0; i < k_; i++) {
+    std::uint32_t digit = code % base_;
+    assignment[i] = digit == base_ - 1 ? kEmptyRegister : digit;
+    code /= base_;
   }
   return assignment;
 }
 
-}  // namespace
+Status AgStateSpace::CheckRegisterCount(std::size_t k) {
+  if (k > kMaxRegisters) {
+    return Status::OutOfRange(
+        "assignment graphs support at most k = 4 registers (got k = " +
+        std::to_string(k) + ")");
+  }
+  return Status::OK();
+}
 
 Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
                                                std::size_t k,
@@ -47,27 +75,15 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
     return Status::ResourceExhausted(
         "injected allocation failure (failpoint assignment_graph.build)");
   }
-  if (k > 4) {
-    return Status::OutOfRange(
-        "assignment graphs support at most k = 4 registers (got k = " +
-        std::to_string(k) + ")");
-  }
+  GQD_RETURN_NOT_OK(AgStateSpace::CheckRegisterCount(k));
   GQD_TRACE_SPAN(span, "krem.assignment_graph_build");
-  AssignmentGraph ag;
-  ag.k_ = k;
-  ag.num_nodes_ = graph.NumNodes();
-  ag.num_labels_ = graph.NumLabels();
-  ag.num_values_ = graph.NumDataValues();
-  std::uint64_t codes = 1;
-  for (std::size_t i = 0; i < k; i++) {
-    codes = SaturatingMul(codes, ag.num_values_ + 1);
-  }
-  std::uint64_t states = SaturatingMul(ag.num_nodes_, codes);
+  std::uint64_t codes = CodeCount(graph, k);
+  std::uint64_t states = SaturatingMul(graph.NumNodes(), codes);
   std::size_t masks = std::size_t{1} << k;
   // One offset per (mask, letter, state) plus the end sentinel, and exactly
   // one entry per (mask, edge, assignment): 2^k·(δ+1)^k·|E|.
   std::uint64_t rows =
-      SaturatingMul(SaturatingMul(masks, ag.num_labels_), states);
+      SaturatingMul(SaturatingMul(masks, graph.NumLabels()), states);
   std::uint64_t entries =
       SaturatingMul(SaturatingMul(masks, codes), graph.NumEdges());
   std::uint64_t adjacency_bytes = SaturatingAdd(
@@ -86,9 +102,11 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
     }
     return Status::OutOfRange("assignment graph too large: " + size);
   }
-  ag.assignment_codes_ = codes;
+  AssignmentGraph ag;
+  ag.space_ = AgStateSpace(graph, k);
   ag.num_states_ = static_cast<std::size_t>(states);
-  ag.num_patterns_ = std::size_t{1} << k;
+  const std::size_t num_labels = graph.NumLabels();
+  const std::size_t num_patterns = ag.space_.num_patterns();
 
   // Charge the adjacency before allocating it: its size is exact.
   ag.adjacency_bytes_ = adjacency_bytes;
@@ -101,7 +119,7 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   // memory budget (the CSR successor lists always exist as fallback).
   std::size_t row_words = (ag.num_states_ + 63) / 64;
   std::size_t num_rows =
-      masks * ag.num_labels_ * ag.num_patterns_ * ag.num_states_;
+      masks * num_labels * num_patterns * ag.num_states_;
   bool build_kernel =
       ag.num_states_ > 0 &&
       num_rows <= kKernelMemoryBudgetBytes / 8 / (row_words == 0 ? 1 : row_words);
@@ -125,55 +143,36 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   GQD_TRACE_SPAN_ATTR(span, "kernel", build_kernel ? 1 : 0);
 
   // Fill the rows in index order: row (mask·|Σ| + a)·|Q| + s, with
-  // s = v·(δ+1)^k + code(σ), lists v's a-edges in OutEdges order.
+  // s = v·(δ+1)^k + code(σ), lists ForEachSuccessor's transitions.
   ag.offsets_.reserve(rows + 1);
   ag.successors_.reserve(entries);
-  const std::uint64_t base = ag.num_values_ + 1;
-  std::vector<std::uint32_t> sigma_prime(k);  // digits; digit δ is ⊥
-  std::vector<NodeId> targets;
+  const std::uint32_t num_codes = ag.space_.assignment_codes();
   std::uint32_t budget_ticks = 0;
-  for (std::size_t block = 0; block < masks * ag.num_labels_; block++) {
-    std::size_t mask = block / ag.num_labels_;
-    LabelId label = static_cast<LabelId>(block % ag.num_labels_);
-    for (NodeId v = 0; v < ag.num_nodes_; v++) {
-      targets.clear();
-      for (const auto& [edge_label, v_prime] : graph.OutEdges(v)) {
-        if (edge_label == label) {
-          targets.push_back(v_prime);
-        }
-      }
-      for (std::uint64_t code = 0; code < codes; code++) {
+  for (std::size_t block = 0; block < masks * num_labels; block++) {
+    std::uint32_t mask = static_cast<std::uint32_t>(block / num_labels);
+    LabelId label = static_cast<LabelId>(block % num_labels);
+    std::uint64_t* kernel_block =
+        build_kernel ? ag.kernel_words_.data() +
+                           block * num_patterns * ag.num_states_ * row_words
+                     : nullptr;
+    AgState s = 0;
+    for (NodeId v = 0; v < graph.NumNodes(); v++) {
+      for (std::uint32_t code = 0; code < num_codes; code++, s++) {
         if (GQD_BUDGET_STRIDE_CHECK(budget, budget_ticks)) {
           return budget->Check();
         }
         ag.offsets_.push_back(
             static_cast<std::uint32_t>(ag.successors_.size()));
-        // σ' = σ[r̄ → ρ(v)], decoded digit by digit.
-        std::uint64_t rest = code, sigma_prime_code = 0, place = 1;
-        for (std::size_t r = 0; r < k; r++, rest /= base, place *= base) {
-          sigma_prime[r] = ((mask >> r) & 1u)
-                               ? graph.DataValueOf(v)
-                               : static_cast<std::uint32_t>(rest % base);
-          sigma_prime_code += sigma_prime[r] * place;
-        }
-        AgState s = static_cast<AgState>(v * codes + code);
-        for (NodeId v_prime : targets) {
-          // Digit δ (⊥) never equals a value id, so it never matches.
-          std::uint8_t pattern = 0;
-          for (std::size_t r = 0; r < k; r++) {
-            pattern |= static_cast<std::uint8_t>(
-                (sigma_prime[r] == graph.DataValueOf(v_prime)) << r);
-          }
-          AgState target =
-              static_cast<AgState>(v_prime * codes + sigma_prime_code);
-          ag.successors_.push_back(Successor{target, pattern});
-          if (build_kernel) {
-            std::size_t kernel_row =
-                (block * ag.num_patterns_ + pattern) * ag.num_states_ + s;
-            ag.kernel_words_[kernel_row * row_words + (target >> 6)] |=
-                std::uint64_t{1} << (target & 63);
-          }
-        }
+        ag.space_.ForEachSuccessor(
+            graph, v, code, mask, label,
+            [&](AgState target, std::uint8_t pattern) {
+              ag.successors_.push_back(Successor{target, pattern});
+              if (kernel_block != nullptr) {
+                std::size_t kernel_row = pattern * ag.num_states_ + s;
+                kernel_block[kernel_row * row_words + (target >> 6)] |=
+                    std::uint64_t{1} << (target & 63);
+              }
+            });
       }
     }
   }
@@ -209,15 +208,6 @@ std::size_t AssignmentGraph::HeldBytes() const {
   return offsets_.capacity() * sizeof(std::uint32_t) +
          successors_.capacity() * sizeof(Successor) +
          kernel_words_.capacity() * sizeof(std::uint64_t);
-}
-
-AgState AssignmentGraph::InitialState(NodeId v) const {
-  // ⊥^k is the all-δ code, (δ+1)^k − 1.
-  return static_cast<AgState>(v * assignment_codes_ + assignment_codes_ - 1);
-}
-
-RegisterAssignment AssignmentGraph::AssignmentOf(AgState state) const {
-  return DecodeAssignment(state % assignment_codes_, k_, num_values_);
 }
 
 }  // namespace gqd

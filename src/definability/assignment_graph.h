@@ -6,10 +6,16 @@
 //
 // For the definability search the transition alphabet is finite: store sets
 // r̄ range over the 2^k register subsets and conditions over the 2^(2^k)
-// semantically distinct minterm masks. This class pre-computes, for every
-// (r̄, a) pair and every state, the successor states *annotated with the
-// equality pattern of the target value against σ'* — a condition mask then
-// selects successors by pattern membership without re-deriving anything.
+// semantically distinct minterm masks. A transition under (r̄, a) is
+// annotated with the *equality pattern* of the target value against σ' — a
+// condition mask then selects successors by pattern membership without
+// re-deriving anything.
+//
+// AgStateSpace holds the state encoding and the transition rule itself
+// (ForEachSuccessor): a successor is a few integer operations on v's
+// out-edges and σ's code. The sparse tuple store calls it on the fly for
+// the states its frontier touches; AssignmentGraph materializes it for
+// every state, as the dense store's CSR lists and kernel rows.
 //
 // Layout: the successor lists are one CSR structure — a std::uint32_t
 // offset per row (r̄, a, s), indexed (mask·|Σ| + a)·|Q| + s, plus one
@@ -21,16 +27,18 @@
 //
 // T_G depends on (G, k) only, never on the relation S being checked, so one
 // built graph serves any number of checks over the same data graph: the
-// k-REM/RPQ checkers split into a per-(G, k) setup (KRemSetup in
-// definability/krem_definability.h) and a per-S search, and `gqd serve`
-// keeps the setups on the graph's registry entry. ChargeReuse replays the
-// build's failpoint and budget charges for such a reused graph.
+// dense k-REM/RPQ search splits into a per-(G, k) setup (KRemSetup in
+// definability/krem_definability.h, which holds an AssignmentGraph only
+// for the dense store) and a per-S search, and `gqd serve` keeps the
+// setups on the graph's registry entry. ChargeReuse replays the build's
+// failpoint and budget charges for such a reused graph.
 
 #ifndef GQD_DEFINABILITY_ASSIGNMENT_GRAPH_H_
 #define GQD_DEFINABILITY_ASSIGNMENT_GRAPH_H_
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/budget.h"
@@ -48,6 +56,110 @@ struct BasicRemBlock {
   std::uint32_t store_mask;  ///< bit i set ⟺ r_{i+1} ∈ r̄
   LabelId label;             ///< a
   MintermMask condition;     ///< c as a minterm set (see rem/condition.h)
+};
+
+/// The states of T_G for a fixed register count k, and its transition
+/// rule. State (v, σ) is v·(δ+1)^k + code(σ), where code(σ) has register
+/// r_{i+1} as its base-(δ+1) digit i and digit δ stands for ⊥. Everything
+/// here is 32-bit arithmetic: the encoding requires n·(δ+1)^k < 2^32.
+class AgStateSpace {
+ public:
+  AgStateSpace() = default;
+
+  /// The register count the encoding (and the 8-bit pattern) supports.
+  static constexpr std::size_t kMaxRegisters = 4;
+  /// The largest state count the 32-bit encoding holds.
+  static constexpr std::uint64_t kMaxStates = 0xffffffffu;
+
+  /// Requires k <= kMaxRegisters and StateCount(graph, k) <= kMaxStates.
+  AgStateSpace(const DataGraph& graph, std::size_t k);
+
+  /// OutOfRange when k > kMaxRegisters.
+  static Status CheckRegisterCount(std::size_t k);
+
+  /// n·(δ+1)^k, saturating at the largest std::uint64_t.
+  static std::uint64_t StateCount(const DataGraph& graph, std::size_t k);
+
+  std::size_t k() const { return k_; }
+  std::size_t num_nodes() const { return num_nodes_; }
+  std::size_t num_labels() const { return num_labels_; }
+  std::size_t num_store_masks() const { return std::size_t{1} << k_; }
+  std::size_t num_patterns() const { return std::size_t{1} << k_; }
+  /// (δ+1)^k.
+  std::uint32_t assignment_codes() const { return codes_; }
+  /// n · (δ+1)^k.
+  std::size_t num_states() const {
+    return num_nodes_ * static_cast<std::size_t>(codes_);
+  }
+
+  /// The state (v, ⊥^k): ⊥^k is the all-δ code, (δ+1)^k − 1.
+  AgState InitialState(NodeId v) const { return v * codes_ + codes_ - 1; }
+
+  /// The node component of a state (at k = 0, the state itself).
+  NodeId NodeOf(AgState state) const {
+    return k_ == 0 ? state : state / codes_;
+  }
+
+  /// Decodes the assignment component of a state.
+  RegisterAssignment AssignmentOf(AgState state) const;
+
+  /// Definition 19's transitions out of (v, σ), σ given by its `code`,
+  /// under store set `store_mask` and letter `label`: calls
+  /// fn(target, pattern) once per a-edge (v, a, v') in OutEdges(v) order,
+  /// where target is (v', σ') with σ' = σ[r̄ → ρ(v)], and bit r of pattern
+  /// says σ'(r_{r+1}) = ρ(v') (⊥ equals no value). A block ↓r̄.a[c] admits
+  /// the successor iff c's minterm mask contains `pattern`.
+  template <typename Fn>
+  void ForEachSuccessor(const DataGraph& graph, NodeId v, std::uint32_t code,
+                        std::uint32_t store_mask, LabelId label,
+                        Fn&& fn) const {
+    if (k_ == 0) {  // the state is the node, and every pattern is 0
+      for (const LabeledEdge& edge : graph.OutEdges(v)) {
+        if (edge.label == label) {
+          fn(static_cast<AgState>(edge.node), std::uint8_t{0});
+        }
+      }
+      return;
+    }
+    // σ' digit by digit, and its code.
+    std::uint32_t digits[kMaxRegisters];
+    std::uint32_t target_code = 0;
+    const ValueId stored = graph.DataValueOf(v);
+    for (std::uint32_t r = 0, place = 1; r < k_; r++, place *= base_) {
+      std::uint32_t digit = code % base_;
+      code /= base_;
+      digits[r] = ((store_mask >> r) & 1u) ? stored : digit;
+      target_code += digits[r] * place;
+    }
+    for (const LabeledEdge& edge : graph.OutEdges(v)) {
+      if (edge.label != label) {
+        continue;
+      }
+      const ValueId value = graph.DataValueOf(edge.node);
+      std::uint8_t pattern = 0;
+      for (std::uint32_t r = 0; r < k_; r++) {
+        pattern |= static_cast<std::uint8_t>((digits[r] == value) << r);
+      }
+      fn(static_cast<AgState>(edge.node * codes_ + target_code), pattern);
+    }
+  }
+
+  /// The same transitions out of a state given whole.
+  template <typename Fn>
+  void ForEachSuccessor(const DataGraph& graph, AgState state,
+                        std::uint32_t store_mask, LabelId label,
+                        Fn&& fn) const {
+    NodeId v = NodeOf(state);
+    ForEachSuccessor(graph, v, state - v * codes_, store_mask, label,
+                     std::forward<Fn>(fn));
+  }
+
+ private:
+  std::uint32_t k_ = 0;
+  std::size_t num_nodes_ = 0;
+  std::size_t num_labels_ = 0;
+  std::uint32_t base_ = 1;   // δ + 1
+  std::uint32_t codes_ = 1;  // (δ+1)^k
 };
 
 /// The assignment graph of a data graph for a fixed register count k.
@@ -100,40 +212,42 @@ class AssignmentGraph {
   /// Resident bytes: the CSR adjacency plus any kernel rows still held.
   std::size_t HeldBytes() const;
 
-  std::size_t k() const { return k_; }
+  /// The state encoding and transition rule the lists materialize.
+  const AgStateSpace& space() const { return space_; }
+  std::size_t k() const { return space_.k(); }
   /// n · (δ+1)^k.
   std::size_t num_states() const { return num_states_; }
-  std::size_t num_nodes() const { return num_nodes_; }
-  std::size_t num_labels() const { return num_labels_; }
-  std::size_t num_store_masks() const { return std::size_t{1} << k_; }
-  std::size_t num_patterns() const { return std::size_t{1} << k_; }
+  std::size_t num_nodes() const { return space_.num_nodes(); }
+  std::size_t num_labels() const { return space_.num_labels(); }
+  std::size_t num_store_masks() const { return space_.num_store_masks(); }
+  std::size_t num_patterns() const { return space_.num_patterns(); }
 
   /// The state (v, ⊥^k).
-  AgState InitialState(NodeId v) const;
+  AgState InitialState(NodeId v) const { return space_.InitialState(v); }
 
   /// The node component of a state.
-  NodeId NodeOf(AgState state) const {
-    return static_cast<NodeId>(state / assignment_codes_);
-  }
+  NodeId NodeOf(AgState state) const { return space_.NodeOf(state); }
 
   /// Decodes the assignment component of a state.
-  RegisterAssignment AssignmentOf(AgState state) const;
+  RegisterAssignment AssignmentOf(AgState state) const {
+    return space_.AssignmentOf(state);
+  }
 
   /// A successor under a fixed (store set, letter), annotated with the
   /// equality pattern of the target node's value against the post-store
-  /// assignment σ'. A block ↓r̄.a[c] admits the successor iff c's minterm
-  /// mask contains `pattern`.
+  /// assignment σ' (see AgStateSpace::ForEachSuccessor).
   struct Successor {
     AgState state;
     std::uint8_t pattern;
   };
 
-  /// Successors of `state` under store set `store_mask` and letter `label`,
-  /// in the order of OutEdges(NodeOf(state)).
+  /// Successors of `state` under store set `store_mask` and letter `label`:
+  /// what AgStateSpace::ForEachSuccessor yields, in its order.
   std::span<const Successor> SuccessorsOf(std::uint32_t store_mask,
                                           LabelId label,
                                           AgState state) const {
-    std::size_t row = (store_mask * num_labels_ + label) * num_states_ + state;
+    std::size_t row =
+        (store_mask * num_labels() + label) * num_states_ + state;
     return {successors_.data() + offsets_[row],
             successors_.data() + offsets_[row + 1]};
   }
@@ -166,7 +280,7 @@ class AssignmentGraph {
   const std::uint64_t* KernelRow(std::uint32_t store_mask, LabelId label,
                                  std::uint32_t pattern, AgState state) const {
     return kernel_words_.data() +
-           (((store_mask * num_labels_ + label) * num_patterns_ + pattern) *
+           (((store_mask * num_labels() + label) * num_patterns() + pattern) *
                 num_states_ +
             state) *
                kernel_row_words_;
@@ -180,13 +294,8 @@ class AssignmentGraph {
  private:
   AssignmentGraph() = default;
 
-  std::size_t k_ = 0;
-  std::size_t num_nodes_ = 0;
-  std::size_t num_labels_ = 0;
-  std::size_t num_values_ = 0;
-  std::size_t num_patterns_ = 1;  // 2^k
-  std::uint64_t assignment_codes_ = 1;  // (δ+1)^k
-  std::size_t num_states_ = 0;
+  AgStateSpace space_;
+  std::size_t num_states_ = 0;  ///< space_.num_states(), as Build sized it
   /// Row (mask·|Σ| + a)·|Q| + s — the successors of s under (mask, a) — is
   /// successors_[offsets_[row], offsets_[row + 1]).
   std::vector<std::uint32_t> offsets_;

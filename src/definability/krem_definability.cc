@@ -251,7 +251,7 @@ class DenseStore {
 
   DenseStore(const KRemSetup& setup, std::size_t n, KRemEngine engine,
              const CancelToken* cancel)
-      : ag_(setup.assignment_graph()),
+      : ag_(*setup.assignment_graph()),
         table_(setup.dispatch()),
         n_(n),
         num_patterns_(ag_.num_patterns()),
@@ -600,11 +600,13 @@ struct SparseBlockScratch : ScratchBase {
   std::vector<std::uint64_t> merged;              ///< Emit's union buffer
 };
 
-/// The sparse frontier store: successor generation walks SuccessorsOf for
-/// every live entry (the reference shape), buckets by pattern, then
-/// enumerates condition subsets in the same exclude-first DFS order as
-/// DenseStore. Acceptance streams over the entry list and finds each
-/// (v_i, v') in the row-major pair list by row offset plus binary search.
+/// The sparse frontier store: successor generation derives each live
+/// entry's successors on the fly from the graph's out-edges
+/// (AgStateSpace::ForEachSuccessor — no assignment graph is built), buckets
+/// them by pattern, then enumerates condition subsets in the same
+/// exclude-first DFS order as DenseStore. Acceptance streams over the entry
+/// list and finds each (v_i, v') in the row-major pair list by row offset
+/// plus binary search.
 class SparseStore {
  public:
   using Scratch = SparseBlockScratch;
@@ -612,17 +614,18 @@ class SparseStore {
 
   /// Pairs() is row-major, so pairs[row_begin[p], row_begin[p + 1]) is row
   /// p with its targets ascending.
-  SparseStore(const AssignmentGraph& ag, std::size_t n, const PairBook& book,
-              const CancelToken* cancel)
-      : ag_(ag),
-        n_(n),
-        num_patterns_(ag.num_patterns()),
+  SparseStore(const AgStateSpace& space, const DataGraph& graph,
+              const PairBook& book, const CancelToken* cancel)
+      : space_(space),
+        graph_(graph),
+        n_(graph.NumNodes()),
+        num_patterns_(space.num_patterns()),
         cancel_(cancel),
-        row_begin_(n + 1, 0) {
+        row_begin_(n_ + 1, 0) {
     for (const auto& [p, q] : book.pairs) {
       row_begin_[p + 1]++;
     }
-    for (std::size_t p = 0; p < n; p++) {
+    for (std::size_t p = 0; p < n_; p++) {
       row_begin_[p + 1] += row_begin_[p];
     }
   }
@@ -641,7 +644,7 @@ class SparseStore {
     std::vector<std::uint64_t> initial;
     initial.reserve(n_);
     for (NodeId v = 0; v < n_; v++) {
-      initial.push_back(PackEntry(v, ag_.InitialState(v)));
+      initial.push_back(PackEntry(v, space_.InitialState(v)));
     }
     return initial;
   }
@@ -668,12 +671,11 @@ class SparseStore {
         return;
       }
       std::size_t i = static_cast<std::size_t>(entries[e] >> 32);
-      AgState state = static_cast<AgState>(entries[e]);
-      for (const auto& successor :
-           ag_.SuccessorsOf(store_mask, label, state)) {
-        s->parts[successor.pattern].push_back(
-            PackEntry(i, successor.state));
-      }
+      space_.ForEachSuccessor(
+          graph_, static_cast<AgState>(entries[e]), store_mask, label,
+          [s, i](AgState target, std::uint8_t pattern) {
+            s->parts[pattern].push_back(PackEntry(i, target));
+          });
     }
     for (std::uint32_t p = 0; p < num_patterns_; p++) {
       std::vector<std::uint64_t>& part = s->parts[p];
@@ -701,14 +703,14 @@ class SparseStore {
               const Rel& relation, PairBook* book) const {
     for (std::uint64_t entry : entries) {
       NodeId i = static_cast<NodeId>(entry >> 32);
-      NodeId v = ag_.NodeOf(static_cast<AgState>(entry));
+      NodeId v = space_.NodeOf(static_cast<AgState>(entry));
       if (!relation.Test(i, v)) {
         return;  // unsafe: this tuple accepts no pair
       }
     }
     for (std::size_t e = 0; e < entries.size() && book->unsolved > 0; e++) {
       NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = ag_.NodeOf(static_cast<AgState>(entries[e]));
+      NodeId v = space_.NodeOf(static_cast<AgState>(entries[e]));
       auto row_end = book->pairs.begin() + row_begin_[i + 1];
       auto it = std::lower_bound(book->pairs.begin() + row_begin_[i],
                                  row_end, std::make_pair(i, v));
@@ -765,7 +767,8 @@ class SparseStore {
                   offset, merged->size()});
   }
 
-  const AssignmentGraph& ag_;
+  const AgStateSpace& space_;
+  const DataGraph& graph_;
   std::size_t n_;
   std::size_t num_patterns_;
   const CancelToken* cancel_;
@@ -833,7 +836,7 @@ std::size_t ClampThreads(std::size_t requested) {
 /// subset-DFS order, so both stores and every `num_threads` produce the
 /// same verdict, witnesses and tuples_explored.
 template <typename Store, typename Rel>
-Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
+Result<KRemDefinabilityResult> Search(const AgStateSpace& space, Store* store,
                                       const Rel& relation, PairBook* book,
                                       const KRemDefinabilityOptions& options,
                                       std::size_t num_threads) {
@@ -870,7 +873,7 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
   // Every (head-in-batch, block) pair owns a scratch slot, so the steady
   // state allocates nothing; the batch is sized to keep that scratch
   // within a fixed budget.
-  std::size_t num_blocks = ag.num_store_masks() * ag.num_labels();
+  std::size_t num_blocks = space.num_store_masks() * space.num_labels();
   std::optional<ThreadPool> pool;
   if (std::size_t threads = ClampThreads(num_threads); threads > 1) {
     pool.emplace(threads);
@@ -1029,8 +1032,8 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
         GQD_TRACE_SPAN_ATTR(batch_span, "workers", num_workers);
         for (std::size_t w = 0; w < num_workers; w++) {
           pool->Submit([store, &scratch, &tuples, &done_mutex, &done_cv,
-                        &remaining, &ag, head, batch, num_workers, num_blocks,
-                        tracer, w] {
+                        &remaining, &space, head, batch, num_workers,
+                        num_blocks, tracer, w] {
             Tracer::Scope scope(tracer);
             GQD_TRACE_SPAN(worker_span, "krem.worker_generate");
             GQD_TRACE_SPAN_ATTR(worker_span, "worker", w);
@@ -1038,8 +1041,8 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
               std::span<const std::uint64_t> words = tuples.At(head + b);
               for (std::size_t t = 0; t < num_blocks; t++) {
                 store->Generate(
-                    words, static_cast<std::uint32_t>(t / ag.num_labels()),
-                    static_cast<LabelId>(t % ag.num_labels()),
+                    words, static_cast<std::uint32_t>(t / space.num_labels()),
+                    static_cast<LabelId>(t % space.num_labels()),
                     &scratch[b * num_blocks + t]);
               }
             }
@@ -1067,16 +1070,16 @@ Result<KRemDefinabilityResult> Search(const AssignmentGraph& ag, Store* store,
         GQD_TRACE_SPAN_ATTR(merge_span, "head", head);
         for (std::size_t t = 0; t < num_blocks && book->unsolved > 0; t++) {
           merge_block(scratch[b * num_blocks + t],
-                      static_cast<std::uint32_t>(t / ag.num_labels()),
-                      static_cast<LabelId>(t % ag.num_labels()), head);
+                      static_cast<std::uint32_t>(t / space.num_labels()),
+                      static_cast<LabelId>(t % space.num_labels()), head);
         }
       }
     } else {
       advance_generation_span(head);
       for (std::uint32_t mask = 0;
-           mask < ag.num_store_masks() && book->unsolved > 0; mask++) {
+           mask < space.num_store_masks() && book->unsolved > 0; mask++) {
         for (LabelId label = 0;
-             label < ag.num_labels() && book->unsolved > 0; label++) {
+             label < space.num_labels() && book->unsolved > 0; label++) {
           if (options.cancel != nullptr && options.cancel->Expired()) {
             return options.cancel->Check();
           }
@@ -1140,14 +1143,13 @@ Result<KRemDefinabilityResult> SearchWithSetup(
     const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options) {
   PairBook book(relation.Pairs());
-  const AssignmentGraph& ag = setup.assignment_graph();
-  std::size_t n = graph.NumNodes();
   if (setup.tuple_store() == KRemTupleStore::kDense) {
-    DenseStore store(setup, n, options.engine, options.cancel);
-    return Search(ag, &store, relation, &book, options, options.num_threads);
+    DenseStore store(setup, graph.NumNodes(), options.engine, options.cancel);
+    return Search(setup.state_space(), &store, relation, &book, options,
+                  options.num_threads);
   }
-  SparseStore store(ag, n, book, options.cancel);
-  return Search(ag, &store, relation, &book, options, 1);
+  SparseStore store(setup.state_space(), graph, book, options.cancel);
+  return Search(setup.state_space(), &store, relation, &book, options, 1);
 }
 
 template <typename Rel>
@@ -1173,28 +1175,48 @@ Result<KRemDefinabilityResult> CheckKRemDispatch(
 
 Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
                                  const KRemDefinabilityOptions& options) {
-  // Build first: it rejects k > 4 before the footprint loop runs k times.
-  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
-                       AssignmentGraph::Build(graph, k, options.budget));
-  KRemTupleStore auto_store =
+  // First: the footprint loop below runs k times.
+  GQD_RETURN_NOT_OK(AgStateSpace::CheckRegisterCount(k));
+  KRemSetup setup;
+  setup.auto_store_ =
       DenseTupleFootprintBytes(graph.NumNodes(), graph.NumDataValues(), k) <=
               kDenseTupleBytesCap
           ? KRemTupleStore::kDense
           : KRemTupleStore::kSparseFrontier;
-  KRemSetup setup(std::move(ag));
-  setup.auto_store_ = auto_store;
   setup.store_ = options.tuple_store == KRemTupleStore::kAuto
-                     ? auto_store
+                     ? setup.auto_store_
                      : options.tuple_store;
   setup.engine_ = options.engine;
-  if (setup.store_ == KRemTupleStore::kDense &&
-      options.engine == KRemEngine::kPlanned) {
-    setup.dispatch_ = KernelDispatchTable::Build(setup.graph_);
+  if (setup.store_ == KRemTupleStore::kSparseFrontier) {
+    // Successors come from the graph on the fly: the only limit is the
+    // 32-bit state in a packed frontier entry.
+    std::uint64_t states = AgStateSpace::StateCount(graph, k);
+    if (states > AgStateSpace::kMaxStates) {
+      std::string what = "k-REM state space too large: " +
+                         std::to_string(states) +
+                         " states exceed the sparse tuple store's 32-bit "
+                         "state encoding";
+      if (options.budget != nullptr && options.budget->max_bytes() != 0) {
+        return Status::ResourceExhausted(
+            what + " (budget " + std::to_string(options.budget->max_bytes()) +
+            " bytes)");
+      }
+      return Status::OutOfRange(what);
+    }
+    setup.space_ = AgStateSpace(graph, k);
+    return setup;
+  }
+  GQD_ASSIGN_OR_RETURN(AssignmentGraph ag,
+                       AssignmentGraph::Build(graph, k, options.budget));
+  setup.space_ = ag.space();
+  AssignmentGraph& held = setup.graph_.emplace(std::move(ag));
+  if (options.engine == KRemEngine::kPlanned) {
+    setup.dispatch_ = KernelDispatchTable::Build(held);
     setup.with_dispatch_ = true;
     if (setup.dispatch_.enabled() &&
         setup.dispatch_.class_counts()[static_cast<std::size_t>(
             TransitionKernelClass::kDense)] == 0) {
-      setup.graph_.ReleaseKernelRows();
+      held.ReleaseKernelRows();
     }
   }
   return setup;
@@ -1213,13 +1235,21 @@ bool KRemSetup::Suits(const KRemDefinabilityOptions& options) const {
 bool KRemSetup::ReusableFor(const KRemDefinabilityOptions& options) const {
   const ResourceBudget* budget = options.budget;
   return shareable() && Suits(options) &&
-         (budget == nullptr || budget->max_bytes() == 0 ||
-          budget->bytes_used() + graph_.BuildChargeBytes(true) <=
+         (!graph_.has_value() || budget == nullptr ||
+          budget->max_bytes() == 0 ||
+          budget->bytes_used() + graph_->BuildChargeBytes(true) <=
               budget->max_bytes());
 }
 
+Status KRemSetup::ChargeReuse(const ResourceBudget* budget) const {
+  return graph_.has_value() ? graph_->ChargeReuse(budget) : Status::OK();
+}
+
 std::size_t KRemSetup::HeldBytes() const {
-  return graph_.HeldBytes() + (with_dispatch_ ? dispatch_.pool_bytes() : 0);
+  if (!graph_.has_value()) {
+    return 0;
+  }
+  return graph_->HeldBytes() + (with_dispatch_ ? dispatch_.pool_bytes() : 0);
 }
 
 Result<KRemDefinabilityResult> CheckKRemDefinability(
@@ -1227,7 +1257,7 @@ Result<KRemDefinabilityResult> CheckKRemDefinability(
     const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options) {
   if (relation.num_nodes() != graph.NumNodes() ||
-      setup.assignment_graph().num_nodes() != graph.NumNodes()) {
+      setup.state_space().num_nodes() != graph.NumNodes()) {
     return Status::InvalidArgument(
         "relation, setup and graph disagree on the node count");
   }

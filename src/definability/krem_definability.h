@@ -84,9 +84,10 @@ enum class KRemTupleStore {
   kDense,
   /// Sorted (node, state) entry lists — memory proportional to the live
   /// frontier states instead of n², the only representation that fits
-  /// million-node graphs. Successor generation walks SuccessorsOf (the
-  /// reference shape) and runs sequentially: the `engine` and
-  /// `num_threads` options are ignored, with bit-identical results.
+  /// million-node graphs. Successors are derived on the fly from the
+  /// graph's out-edges (AgStateSpace::ForEachSuccessor), so no assignment
+  /// graph is built. Runs sequentially: the `engine` and `num_threads`
+  /// options are ignored, with bit-identical results.
   kSparseFrontier,
 };
 
@@ -106,7 +107,7 @@ struct KRemDefinabilityOptions {
   /// sparse frontier store always runs sequentially.
   std::size_t num_threads = 1;
   /// Successor machinery; kPlanned unless you are cross-checking. Ignored
-  /// by the sparse frontier tuple store (reference-shape walk).
+  /// by the sparse frontier tuple store (successors from the graph).
   KRemEngine engine = KRemEngine::kPlanned;
   /// Macro-tuple representation; kAuto unless you are cross-checking.
   KRemTupleStore tuple_store = KRemTupleStore::kAuto;
@@ -140,19 +141,28 @@ struct KRemDefinabilityResult {
   std::optional<PartialProgress> partial;
 };
 
-/// The per-(G, k) half of a k-REM check: the assignment graph T_G of
-/// Definition 19 and, for the planned engine on the dense tuple store, its
-/// kernel dispatch table. Neither depends on S, so one setup decides any
-/// number of relations over the same graph (CheckKRemDefinability with a
-/// setup, below). Immutable once built; safe to share across threads.
+/// The per-(G, k) half of a k-REM check: the state encoding of T_G
+/// (Definition 19) and, for the dense tuple store, the materialized
+/// assignment graph plus — for the planned engine — its kernel dispatch
+/// table. The sparse frontier store derives successors from the graph on
+/// the fly, so its setup holds the encoding alone. None of it depends on
+/// S, so one setup decides any number of relations over the same graph
+/// (CheckKRemDefinability with a setup, below). Immutable once built; safe
+/// to share across threads.
 ///
 /// When the dispatch table is enabled and classifies no transition as
 /// kDense, the planned engine never reads the assignment graph's kernel
 /// rows, so the setup releases them (the successor lists stay).
 class KRemSetup {
  public:
-  std::size_t k() const { return graph_.k(); }
-  const AssignmentGraph& assignment_graph() const { return graph_; }
+  std::size_t k() const { return space_.k(); }
+  /// The state encoding and transition rule the search runs on.
+  const AgStateSpace& state_space() const { return space_; }
+  /// The materialized assignment graph, or nullptr on the sparse frontier
+  /// store.
+  const AssignmentGraph* assignment_graph() const {
+    return graph_.has_value() ? &*graph_ : nullptr;
+  }
   /// The dispatch table, or nullptr when none was built (non-planned
   /// engine or sparse frontier store).
   const KernelDispatchTable* dispatch() const {
@@ -166,7 +176,8 @@ class KRemSetup {
   /// different setup, or when options.budget could change the build: a
   /// byte limit the recorded charges could reach (Build drops the kernel
   /// or trips under it). A reusable setup plus ChargeReuse reproduces the
-  /// cold check exactly — verdict, tuples_explored, partial progress.
+  /// cold check exactly — verdict, tuples_explored, partial progress. A
+  /// sparse setup charges nothing, so only the store decides.
   bool ReusableFor(const KRemDefinabilityOptions& options) const;
 
   /// True when a check with `options` runs on this setup's shape: the same
@@ -175,24 +186,27 @@ class KRemSetup {
 
   /// True when nothing about this setup was shaped by the budget it was
   /// built under, so it may serve other checks.
-  bool shareable() const { return !graph_.kernel_dropped_for_budget(); }
-
-  /// Replays the build's failpoint and budget charges (see
-  /// AssignmentGraph::ChargeReuse) for a check that reuses this setup.
-  Status ChargeReuse(const ResourceBudget* budget) const {
-    return graph_.ChargeReuse(budget);
+  bool shareable() const {
+    return !graph_.has_value() || !graph_->kernel_dropped_for_budget();
   }
 
-  /// Resident bytes of the assignment graph and dispatch table.
+  /// Replays the build's failpoint and budget charges (see
+  /// AssignmentGraph::ChargeReuse) for a check that reuses this setup; a
+  /// sparse setup built nothing, so there is nothing to replay.
+  Status ChargeReuse(const ResourceBudget* budget) const;
+
+  /// Resident bytes of the assignment graph and dispatch table (0 for a
+  /// sparse setup).
   std::size_t HeldBytes() const;
 
  private:
   friend Result<KRemSetup> BuildKRemSetup(const DataGraph& graph,
                                           std::size_t k,
                                           const KRemDefinabilityOptions&);
-  explicit KRemSetup(AssignmentGraph graph) : graph_(std::move(graph)) {}
+  KRemSetup() = default;
 
-  AssignmentGraph graph_;
+  AgStateSpace space_;
+  std::optional<AssignmentGraph> graph_;  ///< dense store only
   KernelDispatchTable dispatch_;
   bool with_dispatch_ = false;
   KRemTupleStore store_ = KRemTupleStore::kDense;
@@ -201,8 +215,13 @@ class KRemSetup {
 };
 
 /// Builds the setup a check with `options` needs for `graph` and k,
-/// charging options.budget exactly as the check itself would. Fails as
-/// AssignmentGraph::Build does (k > 4, state cap, budget, failpoint).
+/// charging options.budget exactly as the check itself would. Fails on
+/// k > 4, on the injected failpoint or a budget trip in the dense store's
+/// AssignmentGraph::Build, and past each store's state cap: 2^24 states
+/// (and 2^32 − 1 successor entries) for the dense store's materialized
+/// CSR, 2^32 − 1 states for the sparse store's packed entries. Over a cap
+/// the refusal is ResourceExhausted when options.budget has a byte limit,
+/// else OutOfRange.
 Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
                                  const KRemDefinabilityOptions& options = {});
 

@@ -314,8 +314,10 @@ Result<JsonValue> QueryService::EvalOne(const RegisteredGraph& entry,
   const std::string normalized = PathExpressionToString(expression);
   const std::string key = ResultCache::MakeKey(
       entry.fingerprint, PathLanguageName(expression), normalized);
+  // A budgeted request evaluates under its budget, so whether it fits
+  // never depends on what an earlier request left in the cache.
   std::shared_ptr<const BinaryRelation> relation;
-  {
+  if (budget == nullptr) {
     GQD_TRACE_SPAN(span, "serve.cache_lookup");
     relation = cache_.Get(key);
     GQD_TRACE_SPAN_ATTR(span, "hit", relation != nullptr ? 1 : 0);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -13,6 +15,8 @@
 #include "definability/assignment_graph.h"
 #include "graph/examples.h"
 #include "graph/generators.h"
+#include "storage/container.h"
+#include "storage/graph_store.h"
 
 namespace gqd {
 namespace {
@@ -381,6 +385,105 @@ TEST(AssignmentGraph, ChargeReuseFollowsBuildsChargeOrder) {
     EXPECT_EQ(warm.bytes_peak(), cold.bytes_peak());
   }
   EXPECT_GE(full.HeldBytes(), full.BuildChargeBytes(true));
+}
+
+// --- One successor rule: on the fly equals the table ----------------------
+
+/// `graph` with its edges inserted in reverse, so each node's resident
+/// OutEdges run in the reverse of the generator's (label, target) order.
+DataGraph WithEdgesReversed(const DataGraph& graph) {
+  DataGraph copy;
+  for (LabelId a = 0; a < graph.NumLabels(); a++) {
+    copy.AddLabel(graph.labels().NameOf(a));
+  }
+  for (ValueId d = 0; d < graph.NumDataValues(); d++) {
+    copy.AddDataValue(graph.data_values().NameOf(d));
+  }
+  for (NodeId v = 0; v < graph.NumNodes(); v++) {
+    copy.AddNode(graph.DataValueOf(v), graph.RawNodeName(v));
+  }
+  std::span<const Edge> edges = graph.edges();
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    copy.AddEdge(it->from, it->label, it->to);
+  }
+  return copy;
+}
+
+/// `graph` written to a .gqdg container and mapped back as a view graph,
+/// whose OutEdges are sorted by (label, target).
+std::shared_ptr<const DataGraph> MappedCopy(const DataGraph& graph,
+                                            std::uint64_t seed) {
+  std::string path = ::testing::TempDir() + "gqd_assignment_graph_" +
+                     std::to_string(seed) + ".gqdg";
+  Status written = WriteGraphContainer(graph, path);
+  EXPECT_TRUE(written.ok()) << written;
+  auto mapped = GraphStore::OpenContainer(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status();
+  return mapped.ok() ? mapped.value().graph : nullptr;
+}
+
+// AgStateSpace::ForEachSuccessor is T_G's one transition rule: the sparse
+// tuple store calls it on the fly, Build materializes it. Both must yield
+// the same targets and patterns in the same (OutEdges) order, on resident
+// and on mapped graphs, whose OutEdges orders differ.
+TEST(AssignmentGraph, OnTheFlySuccessorsEqualTheMaterializedRows) {
+  bool orders_differ = false;
+  for (std::uint64_t seed = 1; seed <= 8; seed++) {
+    DataGraph resident = WithEdgesReversed(
+        RandomDataGraph({.num_nodes = 2 + seed % 7,
+                         .num_labels = 1 + seed % 3,
+                         .num_data_values = 1 + seed % 3,
+                         .edge_percent = 30,
+                         .seed = seed}));
+    std::shared_ptr<const DataGraph> mapped = MappedCopy(resident, seed);
+    ASSERT_NE(mapped, nullptr);
+    ASSERT_TRUE(mapped->is_view());
+    for (NodeId v = 0; v < resident.NumNodes(); v++) {
+      std::span<const LabeledEdge> a = resident.OutEdges(v);
+      std::span<const LabeledEdge> b = mapped->OutEdges(v);
+      orders_differ = orders_differ || !std::equal(a.begin(), a.end(),
+                                                   b.begin(), b.end());
+    }
+    const DataGraph* graphs[] = {&resident, mapped.get()};
+    for (const DataGraph* g : graphs) {
+      for (std::size_t k = 0; k <= 3; k++) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                     std::to_string(k) + (g->is_view() ? " view" : ""));
+        auto built = AssignmentGraph::Build(*g, k);
+        ASSERT_TRUE(built.ok()) << built.status();
+        const AssignmentGraph& ag = built.value();
+        const AgStateSpace space(*g, k);
+        ASSERT_EQ(space.num_states(), ag.num_states());
+        const std::uint32_t codes = space.assignment_codes();
+        for (std::uint32_t mask = 0; mask < space.num_store_masks(); mask++) {
+          for (LabelId a = 0; a < space.num_labels(); a++) {
+            for (AgState s = 0; s < space.num_states(); s++) {
+              Row table;
+              for (const auto& successor : ag.SuccessorsOf(mask, a, s)) {
+                table.emplace_back(successor.state, successor.pattern);
+              }
+              Row by_state;
+              space.ForEachSuccessor(
+                  *g, s, mask, a, [&](AgState t, std::uint8_t pattern) {
+                    by_state.emplace_back(t, pattern);
+                  });
+              Row by_code;
+              space.ForEachSuccessor(
+                  *g, space.NodeOf(s), s % codes, mask, a,
+                  [&](AgState t, std::uint8_t pattern) {
+                    by_code.emplace_back(t, pattern);
+                  });
+              ASSERT_EQ(by_state, table)
+                  << "mask " << mask << " letter " << a << " state " << s;
+              ASSERT_EQ(by_code, table)
+                  << "mask " << mask << " letter " << a << " state " << s;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(orders_differ) << "no graph exercised two OutEdges orders";
 }
 
 TEST(AssignmentGraph, KZeroHasSingletonAssignment) {

@@ -763,6 +763,64 @@ TEST(DefinabilitySetups, MismatchedSetupsAreRejected) {
   EXPECT_FALSE(CheckRpqDefinability(sparse, g, s).ok()) << "k = 1 setup";
 }
 
+/// n nodes with n distinct values and no edges: n·(n+1)^k states.
+DataGraph DistinctValueNodes(std::size_t n) {
+  DataGraph g;
+  for (std::size_t i = 0; i < n; i++) {
+    g.AddNodeWithValue("v" + std::to_string(i));
+  }
+  return g;
+}
+
+// The sparse store builds no assignment graph: its one structural limit is
+// the 32-bit state of a packed frontier entry. At k = 2, 1624 distinct-value
+// nodes give 1624·1625² ≈ 4.288e9 states (under 2^32) and 1625 give
+// 1625·1626² ≈ 4.296e9 (over). Both setups are shape arithmetic only.
+TEST(DefinabilitySetups, SparseStoreRefusesPast32BitStates) {
+  DataGraph fits = DistinctValueNodes(1624);
+  DataGraph over = DistinctValueNodes(1625);
+  ASSERT_LE(AgStateSpace::StateCount(fits, 2), AgStateSpace::kMaxStates);
+  ASSERT_GT(AgStateSpace::StateCount(over, 2), AgStateSpace::kMaxStates);
+
+  ResourceBudget bytes(400'000'000, 0);
+  const ResourceBudget* budgets[] = {nullptr, &bytes};
+  for (const ResourceBudget* budget : budgets) {
+    SCOPED_TRACE(budget == nullptr ? "unbudgeted" : "byte budget");
+    KRemDefinabilityOptions options;
+    options.budget = budget;
+    auto setup = BuildKRemSetup(fits, 2, options);
+    ASSERT_TRUE(setup.ok()) << setup.status();
+    EXPECT_EQ(setup.value().tuple_store(), KRemTupleStore::kSparseFrontier);
+    EXPECT_EQ(setup.value().assignment_graph(), nullptr);
+    EXPECT_EQ(setup.value().HeldBytes(), 0u);
+    EXPECT_EQ(setup.value().state_space().num_states(),
+              AgStateSpace::StateCount(fits, 2));
+
+    auto refused = BuildKRemSetup(over, 2, options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), budget == nullptr
+                                           ? StatusCode::kOutOfRange
+                                           : StatusCode::kResourceExhausted);
+    EXPECT_NE(refused.status().message().find("32-bit"), std::string::npos)
+        << refused.status();
+  }
+  EXPECT_EQ(bytes.bytes_used(), 0u) << "a sparse setup charges nothing";
+
+  // A cold check under the limit runs (the diagonal of one node is not
+  // closed under the other nodes' ε-runs); over it, it refuses.
+  BinaryRelation fits_s(fits.NumNodes());
+  fits_s.Set(0, 0);
+  auto decided = CheckKRemDefinability(fits, fits_s, 2);
+  ASSERT_TRUE(decided.ok()) << decided.status();
+  EXPECT_EQ(decided.value().verdict, DefinabilityVerdict::kNotDefinable);
+  EXPECT_EQ(decided.value().tuples_explored, 1u);
+  BinaryRelation over_s(over.NumNodes());
+  over_s.Set(0, 0);
+  auto check = CheckKRemDefinability(over, over_s, 2);
+  ASSERT_FALSE(check.ok());
+  EXPECT_EQ(check.status().code(), StatusCode::kOutOfRange);
+}
+
 // A held setup keeps only what the planned engine reads, and a budget that
 // could change the build, or non-default caps, rule reuse out.
 TEST(DefinabilitySetups, ReuseRulesFollowTheRecordedBuild) {
@@ -772,12 +830,12 @@ TEST(DefinabilitySetups, ReuseRulesFollowTheRecordedBuild) {
   ASSERT_TRUE(setup.dispatch()->enabled());
   bool has_dense = setup.dispatch()->class_counts()[static_cast<std::size_t>(
                        TransitionKernelClass::kDense)] != 0;
-  EXPECT_EQ(setup.assignment_graph().has_kernel(), has_dense);
+  EXPECT_EQ(setup.assignment_graph()->has_kernel(), has_dense);
 
   KRemDefinabilityOptions options;
   EXPECT_TRUE(setup.ReusableFor(options));
   const std::uint64_t charges =
-      setup.assignment_graph().BuildChargeBytes(true);
+      setup.assignment_graph()->BuildChargeBytes(true);
   ResourceBudget roomy(charges, 0);
   options.budget = &roomy;
   EXPECT_TRUE(setup.ReusableFor(options));

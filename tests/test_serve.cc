@@ -567,6 +567,25 @@ TEST_F(ServeTest, RpqEvalOverItsTupleBudgetIsResourceExhausted) {
   EXPECT_NE(Call(eval + "}").find("\"ok\":true"), std::string::npos);
 }
 
+// A budgeted eval is charged whatever the cache holds: after an unbudgeted
+// eval of the same query has filled the cache, the budgeted one still
+// evaluates under its budget and trips it.
+TEST_F(ServeTest, BudgetedEvalSkipsAWarmResultCache) {
+  service_.registry().Register("fig1", Figure1Graph());
+  const std::string eval =
+      R"({"cmd":"eval","graph":"fig1","language":"rpq","query":"a+")";
+  EXPECT_NE(Call(eval + "}").find("\"ok\":true"), std::string::npos);
+  std::string response = Call(eval + R"(,"max_tuples":1})");
+  auto parsed = JsonValue::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  EXPECT_FALSE(parsed.value().Find("ok")->AsBool()) << response;
+  const JsonValue* error = parsed.value().Find("error");
+  ASSERT_NE(error, nullptr) << response;
+  EXPECT_EQ(error->GetString("code").ValueOrDie(), "ResourceExhausted");
+  // The unbudgeted query is still served (from the cache).
+  EXPECT_NE(Call(eval + "}").find("\"ok\":true"), std::string::npos);
+}
+
 /// A service behind a deliberately tiny admission gate — one slot, no wait
 /// queue — plus a hard instance to hold that slot for a while.
 class ServeOverloadTest : public ::testing::Test {
@@ -871,7 +890,7 @@ TEST(CheckSetupReuse, ColdAndWarmResponsesAreByteIdentical) {
     } else {
       auto setup = BuildKRemSetup(g.graph, c.k);
       ASSERT_TRUE(setup.ok()) << setup.status();
-      setup_bytes = setup.value().assignment_graph().BuildChargeBytes(true);
+      setup_bytes = setup.value().assignment_graph()->BuildChargeBytes(true);
     }
 
     struct Budget {

@@ -209,13 +209,16 @@ Result<std::vector<std::pair<NodeId, NodeId>>> LoadRelationPairs(
 
 /// Loads the `<relation>` argument of `check` or `synth` (LoadRelationPairs)
 /// and admits it as `backend`: its estimated bytes are charged to `budget`
-/// before anything is built, and a refusal says so on stderr. So a
-/// budgeted dense relation over a million-node graph exits 4 instead of
-/// attempting a ~125 GB allocation, while a sparse one proceeds.
+/// before anything is built, and a refusal says so on stderr, suggesting
+/// --relation-backend only when the command has it (`check`, not
+/// `synth`). So a budgeted dense relation over a million-node graph exits
+/// 4 instead of attempting a ~125 GB allocation, while a sparse one
+/// proceeds.
 Result<AdaptiveRelation> LoadAdmittedRelation(const StoredGraph& loaded,
                                               const char* path,
                                               RelationBackend backend,
-                                              const ResourceBudget* budget) {
+                                              const ResourceBudget* budget,
+                                              bool has_backend_flag) {
   GQD_ASSIGN_OR_RETURN(
       auto pairs,
       LoadRelationPairs(*loaded.graph, loaded.info.fingerprint, path));
@@ -226,10 +229,11 @@ Result<AdaptiveRelation> LoadAdmittedRelation(const StoredGraph& loaded,
   if (!admission.status.ok()) {
     std::fprintf(stderr,
                  "admission: %s relation backend estimated at %zu bytes"
-                 " (n=%zu, nnz=%zu); try --relation-backend"
-                 " sparse|blocked or a larger --max-bytes\n",
+                 " (n=%zu, nnz=%zu); try %sa larger --max-bytes\n",
                  RelationBackendName(admission.backend),
-                 admission.estimate_bytes, n, nnz);
+                 admission.estimate_bytes, n, nnz,
+                 has_backend_flag ? "--relation-backend sparse|blocked or "
+                                  : "");
     return admission.status;
   }
   return std::move(admission.relation);
@@ -490,7 +494,8 @@ int CmdCheck(int argc, char** argv) {
   }
   const DataGraph& graph = *loaded.value().graph;
   auto admitted = LoadAdmittedRelation(loaded.value(), argv[1],
-                                       backend_choice, request.budget);
+                                       backend_choice, request.budget,
+                                       /*has_backend_flag=*/true);
   if (!admitted.ok()) {
     return Fail(admitted.status());
   }
@@ -574,7 +579,8 @@ int CmdSynth(int argc, char** argv) {
   const DataGraph& graph = *loaded.value().graph;
   // Synthesis runs on the dense matrix, so that is what is admitted.
   auto admitted = LoadAdmittedRelation(loaded.value(), argv[1],
-                                       RelationBackend::kDense, request.budget);
+                                       RelationBackend::kDense, request.budget,
+                                       /*has_backend_flag=*/false);
   if (!admitted.ok()) {
     return Fail(admitted.status());
   }
