@@ -241,7 +241,8 @@ GridAb MakeGridAb(std::size_t side) {
 /// canonical pair list to the verdict: relation build plus search plus
 /// witnesses, as one served check pays. One macro tuple accepts all
 /// (side − 1)² pairs. The auto tuple store is dense at 100² and sparse at
-/// 300².
+/// 300² and 1000². At 1000² this is sparse-grid's rpq leg, less its
+/// container open and its 400 MB byte budget.
 void BM_RpqDefinability_SparseGrid(benchmark::State& state) {
   GridAb grid = MakeGridAb(static_cast<std::size_t>(state.range(0)));
   std::size_t tuples = 0;
@@ -261,6 +262,7 @@ void BM_RpqDefinability_SparseGrid(benchmark::State& state) {
 BENCHMARK(BM_RpqDefinability_SparseGrid)
     ->Arg(100)
     ->Arg(300)
+    ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 /// The same check with one register (k = 1), as sparse-grid's 300² leg

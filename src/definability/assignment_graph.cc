@@ -32,6 +32,14 @@ std::uint64_t CodeCount(const DataGraph& graph, std::size_t k) {
   return codes;
 }
 
+/// Exactly one successor entry per (mask, edge, assignment):
+/// 2^k·(δ+1)^k·|E|, saturating.
+std::uint64_t EntryCount(const DataGraph& graph, std::size_t k) {
+  return SaturatingMul(
+      SaturatingMul(std::uint64_t{1} << k, CodeCount(graph, k)),
+      graph.NumEdges());
+}
+
 }  // namespace
 
 AgStateSpace::AgStateSpace(const DataGraph& graph, std::size_t k)
@@ -68,6 +76,11 @@ Status AgStateSpace::CheckRegisterCount(std::size_t k) {
   return Status::OK();
 }
 
+bool AssignmentGraph::WithinCaps(const DataGraph& graph, std::size_t k) {
+  return AgStateSpace::StateCount(graph, k) <= kMaxBuildStates &&
+         EntryCount(graph, k) <= std::numeric_limits<std::uint32_t>::max();
+}
+
 Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
                                                std::size_t k,
                                                const ResourceBudget* budget) {
@@ -80,17 +93,14 @@ Result<AssignmentGraph> AssignmentGraph::Build(const DataGraph& graph,
   std::uint64_t codes = CodeCount(graph, k);
   std::uint64_t states = SaturatingMul(graph.NumNodes(), codes);
   std::size_t masks = std::size_t{1} << k;
-  // One offset per (mask, letter, state) plus the end sentinel, and exactly
-  // one entry per (mask, edge, assignment): 2^k·(δ+1)^k·|E|.
+  // One offset per (mask, letter, state) plus the end sentinel.
   std::uint64_t rows =
       SaturatingMul(SaturatingMul(masks, graph.NumLabels()), states);
-  std::uint64_t entries =
-      SaturatingMul(SaturatingMul(masks, codes), graph.NumEdges());
+  std::uint64_t entries = EntryCount(graph, k);
   std::uint64_t adjacency_bytes = SaturatingAdd(
       SaturatingMul(SaturatingAdd(rows, 1), sizeof(std::uint32_t)),
       SaturatingMul(entries, sizeof(Successor)));
-  if (states > (std::uint64_t{1} << 24) ||
-      entries > std::numeric_limits<std::uint32_t>::max()) {
+  if (!WithinCaps(graph, k)) {
     std::string size = std::to_string(states) + " states, " +
                        std::to_string(entries) + " successor entries";
     if (budget != nullptr && budget->max_bytes() != 0) {

@@ -183,6 +183,13 @@ class AssignmentGraph {
   static Result<AssignmentGraph> Build(const DataGraph& graph, std::size_t k,
                                        const ResourceBudget* budget = nullptr);
 
+  /// The most states Build materializes.
+  static constexpr std::uint64_t kMaxBuildStates = std::uint64_t{1} << 24;
+
+  /// True when (graph, k) is within Build's caps: at most kMaxBuildStates
+  /// states and 2^32 − 1 successor entries (k <= 4 assumed).
+  static bool WithinCaps(const DataGraph& graph, std::size_t k);
+
   // --- Reuse across checks --------------------------------------------------
 
   /// Bytes Build charged a budget: the CSR offsets and entries, plus the

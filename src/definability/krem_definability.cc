@@ -9,12 +9,14 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/plan/kernel_dispatch.h"
 #include "analysis/plan/plan_metrics.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "definability/krem_search.h"
 #include "obs/trace.h"
 
 namespace gqd {
@@ -36,14 +38,35 @@ inline void OrWords(std::uint64_t* dst, const std::uint64_t* src,
   }
 }
 
+/// A 4-lane multiply–xorshift hash: word i feeds lane i mod 4, so four
+/// independent multiply chains pipeline where one serial chain would wait
+/// on each product. The lanes and the length fold through a final avalanche
+/// (MurmurHash3's fmix64), so the low bits the probe table masks depend on
+/// every word.
 std::uint64_t HashTupleWords(const std::uint64_t* words, std::size_t count) {
-  std::size_t seed = count;
-  for (std::size_t i = 0; i < count; i++) {
-    seed = HashCombine(seed,
-                       static_cast<std::size_t>(words[i] *
-                                                0xff51afd7ed558ccdULL));
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  auto mix = [](std::uint64_t h, std::uint64_t word) {
+    h = (h ^ word) * kMul;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t lane[4] = {1, 2, 3, 4};
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    lane[0] = mix(lane[0], words[i]);
+    lane[1] = mix(lane[1], words[i + 1]);
+    lane[2] = mix(lane[2], words[i + 2]);
+    lane[3] = mix(lane[3], words[i + 3]);
   }
-  return seed;
+  for (; i < count; i++) {
+    lane[i & 3] = mix(lane[i & 3], words[i]);
+  }
+  std::uint64_t h = mix(mix(mix(mix(count, lane[0]), lane[1]), lane[2]),
+                        lane[3]);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
 }
 
 /// Macro-tuple storage with an open-addressed semantic interner, shared by
@@ -82,6 +105,41 @@ class TupleInterner {
   /// first when absent (*inserted reports which).
   std::size_t Intern(std::span<const std::uint64_t> tuple, std::uint64_t hash,
                      bool* inserted) {
+    std::size_t pos = Probe(tuple, hash);
+    *inserted = slots_[pos] == 0;
+    if (!*inserted) {
+      return slots_[pos] - 1;
+    }
+    std::uint64_t* copy = Reserve(tuple.size());
+    std::copy(tuple.begin(), tuple.end(), copy);
+    return Insert({copy, tuple.size()}, hash, pos);
+  }
+
+  /// Interns the `count`-word tuple that fill(words) writes straight into
+  /// storage, with no staging copy; a duplicate gives the space back.
+  template <typename Fill>
+  std::size_t InternInPlace(std::size_t count, Fill&& fill, bool* inserted) {
+    std::uint64_t* words = Reserve(count);
+    fill(words);
+    std::uint64_t hash = HashTupleWords(words, count);
+    std::size_t pos = Probe({words, count}, hash);
+    *inserted = slots_[pos] == 0;
+    if (!*inserted) {
+      chunk_used_ -= count;
+      return slots_[pos] - 1;
+    }
+    return Insert({words, count}, hash, pos);
+  }
+
+ private:
+  /// Chunks double from the first tuple's size up to this many words
+  /// (1 MiB); a tuple larger than that gets a chunk of its own size.
+  static constexpr std::size_t kMaxChunkWords = std::size_t{1} << 17;
+
+  /// The probe slot holding the tuple equal to `tuple`, or the empty slot
+  /// where it belongs.
+  std::size_t Probe(std::span<const std::uint64_t> tuple,
+                    std::uint64_t hash) const {
     std::size_t mask = slots_.size() - 1;
     std::size_t pos = static_cast<std::size_t>(hash) & mask;
     while (slots_[pos] != 0) {
@@ -91,14 +149,19 @@ class TupleInterner {
         if (stored.size() == tuple.size() &&
             std::memcmp(stored.data(), tuple.data(), tuple.size_bytes()) ==
                 0) {
-          *inserted = false;
-          return index;
+          return pos;
         }
       }
       pos = (pos + 1) & mask;
     }
+    return pos;
+  }
+
+  /// Records the stored `tuple` at empty slot `pos` and charges it.
+  std::size_t Insert(std::span<const std::uint64_t> tuple, std::uint64_t hash,
+                     std::size_t pos) {
     std::size_t index = tuples_.size();
-    tuples_.push_back(Store(tuple));
+    tuples_.push_back(tuple);
     hashes_.push_back(hash);
     slots_[pos] = index + 1;
     if (budget_ != nullptr) {
@@ -110,31 +173,24 @@ class TupleInterner {
     if ((tuples_.size() + 1) * 4 > slots_.size() * 3) {
       Grow();
     }
-    *inserted = true;
     return index;
   }
 
- private:
-  /// Chunks double from the first tuple's size up to this many words
-  /// (1 MiB); a tuple larger than that gets a chunk of its own size.
-  static constexpr std::size_t kMaxChunkWords = std::size_t{1} << 17;
-
-  /// Copies `tuple` into the current chunk, opening a new one when it does
-  /// not fit; returns the copy.
-  std::span<const std::uint64_t> Store(std::span<const std::uint64_t> tuple) {
-    if (chunk_capacity_ - chunk_used_ < tuple.size()) {
+  /// `count` words at the end of the current chunk, opening a new chunk
+  /// when they do not fit.
+  std::uint64_t* Reserve(std::size_t count) {
+    if (chunk_capacity_ - chunk_used_ < count) {
       chunk_capacity_ = std::max(
-          tuple.size(), chunks_.empty()
-                            ? tuple.size()
-                            : std::min(2 * chunk_capacity_, kMaxChunkWords));
+          count, chunks_.empty()
+                     ? count
+                     : std::min(2 * chunk_capacity_, kMaxChunkWords));
       chunks_.push_back(
           std::make_unique_for_overwrite<std::uint64_t[]>(chunk_capacity_));
       chunk_used_ = 0;
     }
-    std::uint64_t* copy = chunks_.back().get() + chunk_used_;
-    std::copy(tuple.begin(), tuple.end(), copy);
-    chunk_used_ += tuple.size();
-    return {copy, tuple.size()};
+    std::uint64_t* words = chunks_.back().get() + chunk_used_;
+    chunk_used_ += count;
+    return words;
   }
 
   void Grow() {
@@ -171,23 +227,62 @@ class TupleInterner {
 
 /// One candidate successor tuple of the current head under one block label:
 /// the condition (minterm subset), the tuple's hash, and its words at
-/// [offset, offset + count) of the owning scratch arena.
+/// [offset, offset + count) of the owning scratch's arena — or, for a
+/// sparse single-part candidate, of that part itself.
 struct Candidate {
+  static constexpr std::uint32_t kArena = static_cast<std::uint32_t>(-1);
+
   MintermMask condition;
   std::uint64_t hash;
+  std::uint32_t part;  ///< kArena, or the sparse part holding the words
   std::size_t offset;
   std::size_t count;
 };
 
-/// Pair bookkeeping: solution[j] is the tuple index at which pairs[j] was
-/// first accepted, kUnsolved while it still needs a witness.
+/// S as a CSR in Pairs() order (read in place from a sparse relation,
+/// built once for any other backend).
+template <typename Rel>
+PairRows RowsOf(const Rel& relation) {
+  std::size_t n = relation.num_nodes();
+  std::vector<std::uint64_t> offsets;
+  std::vector<NodeId> cols;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  for (NodeId u = 0; u < n; u++) {
+    if constexpr (std::is_same_v<Rel, BinaryRelation>) {
+      const DynamicBitset& row = relation.Row(u);
+      for (std::size_t v = row.FindNext(0); v < n; v = row.FindNext(v + 1)) {
+        cols.push_back(static_cast<NodeId>(v));
+      }
+    } else {
+      relation.ForEachInRow(u, [&cols](NodeId v) { cols.push_back(v); });
+    }
+    offsets.push_back(cols.size());
+  }
+  return PairRows(std::move(offsets), std::move(cols));
+}
+
+PairRows RowsOf(const AdaptiveRelation& relation) {
+  switch (relation.backend()) {
+    case RelationBackend::kDense:
+      return RowsOf(relation.dense());
+    case RelationBackend::kSparse:
+      return PairRows(relation.sparse().offsets(), relation.sparse().cols());
+    default:
+      return RowsOf(relation.blocked());
+  }
+}
+
+/// Pair bookkeeping over S's CSR rows: solution[j] is the tuple index at
+/// which pair j was first accepted, kUnsolved while it still needs a
+/// witness.
 struct PairBook {
   static constexpr std::size_t kUnsolved = static_cast<std::size_t>(-1);
 
-  explicit PairBook(std::vector<std::pair<NodeId, NodeId>> all)
-      : pairs(std::move(all)),
-        solution(pairs.size(), kUnsolved),
-        unsolved(pairs.size()) {}
+  explicit PairBook(PairRows pairs)
+      : rows(std::move(pairs)),
+        solution(rows.size(), kUnsolved),
+        unsolved(rows.size()) {}
 
   void Solve(std::size_t j, std::size_t tuple) {
     if (solution[j] == kUnsolved) {
@@ -196,7 +291,15 @@ struct PairBook {
     }
   }
 
-  std::vector<std::pair<NodeId, NodeId>> pairs;
+  /// Takes back Solve(j, tuple) when it was tuple that solved pair j.
+  void Unsolve(std::size_t j, std::size_t tuple) {
+    if (solution[j] == tuple) {
+      solution[j] = kUnsolved;
+      unsolved++;
+    }
+  }
+
+  PairRows rows;
   std::vector<std::size_t> solution;
   std::size_t unsolved;
 };
@@ -206,6 +309,11 @@ struct PairBook {
 /// One instance per worker slot; nothing inside the per-head loops
 /// allocates once these warm up.
 struct ScratchBase {
+  /// Candidate c's words.
+  std::span<const std::uint64_t> Words(const Candidate& c) const {
+    return {arena.data() + c.offset, c.count};
+  }
+
   std::vector<std::uint8_t> achieved;  ///< patterns achieved by any part
   std::vector<Candidate> candidates;   ///< emitted in canonical order
   std::vector<std::uint64_t> arena;    ///< candidate tuple words
@@ -271,14 +379,16 @@ class DenseStore {
            sizeof(std::uint64_t);
   }
 
-  /// Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
-  std::vector<std::uint64_t> InitialTuple() const {
-    std::vector<std::uint64_t> initial(tuple_words_, 0);
+  /// Words of the initial tuple.
+  std::size_t InitialWords() const { return tuple_words_; }
+
+  /// Writes Q_i = {(v_i, ⊥^k)} — the ε expression (zero blocks).
+  void WriteInitialTuple(std::uint64_t* initial) const {
+    std::fill(initial, initial + tuple_words_, 0);
     for (NodeId v = 0; v < n_; v++) {
       AgState s = ag_.InitialState(v);
       initial[v * set_words_ + (s >> 6)] |= std::uint64_t{1} << (s & 63);
     }
-    return initial;
   }
 
   void InitScratch(BlockScratch* s) const {
@@ -347,13 +457,12 @@ class DenseStore {
         }
       }
     }
-    for (std::size_t j = 0; j < book->pairs.size(); j++) {
-      const auto& [p, q] = book->pairs[j];
+    book->rows.ForEach([&](std::size_t j, NodeId p, NodeId q) {
       if (book->solution[j] == PairBook::kUnsolved &&
           (projections_[p * node_words_ + (q >> 6)] >> (q & 63)) & 1u) {
         book->Solve(j, index);
       }
-    }
+    });
   }
 
  private:
@@ -560,9 +669,9 @@ class DenseStore {
     }
     std::size_t offset = s->arena.size();
     s->arena.insert(s->arena.end(), s->current.begin(), s->current.end());
-    s->candidates.push_back(
-        Candidate{condition, HashTupleWords(s->current.data(), tuple_words_),
-                  offset, tuple_words_});
+    s->candidates.push_back(Candidate{
+        condition, HashTupleWords(s->current.data(), tuple_words_),
+        Candidate::kArena, offset, tuple_words_});
   }
 
   const AssignmentGraph& ag_;
@@ -585,7 +694,7 @@ class DenseStore {
 // (node index, state) entries: memory proportional to the states actually
 // live in the frontier. Interning is semantic (two tuples are equal iff
 // their entry *sets* are), the subset DFS runs in the same exclude-first
-// canonical order, and acceptance probes the pair list directly — so
+// canonical order, and acceptance walks S's CSR rows directly — so
 // verdicts, witnesses and tuples_explored are bit-identical to the dense
 // store on any input both can afford.
 
@@ -595,40 +704,56 @@ inline std::uint64_t PackEntry(std::size_t i, AgState state) {
   return (static_cast<std::uint64_t>(i) << 32) | state;
 }
 
+/// The first column in [at, end) not below v, galloping from `at`: the
+/// entries of one row ask for ascending v, so the answer is usually at or
+/// near where the previous one stopped.
+inline const NodeId* SeekColumn(const NodeId* at, const NodeId* end,
+                                NodeId v) {
+  if (at == end || *at >= v) {
+    return at;
+  }
+  std::size_t step = 1;
+  while (step < static_cast<std::size_t>(end - at) && at[step] < v) {
+    at += step;
+    step *= 2;
+  }
+  return std::lower_bound(
+      at + 1, at + std::min(step, static_cast<std::size_t>(end - at)), v);
+}
+
 struct SparseBlockScratch : ScratchBase {
+  /// Candidate c's words: its part for a single-part candidate, else the
+  /// arena.
+  std::span<const std::uint64_t> Words(const Candidate& c) const {
+    if (c.part == Candidate::kArena) {
+      return ScratchBase::Words(c);
+    }
+    return {parts[c.part].data() + c.offset, c.count};
+  }
+
   std::vector<std::vector<std::uint64_t>> parts;  ///< per pattern, sorted
-  std::vector<std::uint64_t> merged;              ///< Emit's union buffer
 };
 
 /// The sparse frontier store: successor generation derives each live
 /// entry's successors on the fly from the graph's out-edges
 /// (AgStateSpace::ForEachSuccessor — no assignment graph is built), buckets
 /// them by pattern, then enumerates condition subsets in the same
-/// exclude-first DFS order as DenseStore. Acceptance streams over the entry
-/// list and finds each (v_i, v') in the row-major pair list by row offset
-/// plus binary search.
+/// exclude-first DFS order as DenseStore. A single-part candidate is hashed
+/// and interned straight from its part; only unions of several parts are
+/// assembled in the arena. Acceptance merge-walks the entry list against
+/// S's CSR rows.
 class SparseStore {
  public:
   using Scratch = SparseBlockScratch;
   static constexpr const char* kInitAttr = "entries";
 
-  /// Pairs() is row-major, so pairs[row_begin[p], row_begin[p + 1]) is row
-  /// p with its targets ascending.
   SparseStore(const AgStateSpace& space, const DataGraph& graph,
-              const PairBook& book, const CancelToken* cancel)
+              const CancelToken* cancel)
       : space_(space),
         graph_(graph),
         n_(graph.NumNodes()),
         num_patterns_(space.num_patterns()),
-        cancel_(cancel),
-        row_begin_(n_ + 1, 0) {
-    for (const auto& [p, q] : book.pairs) {
-      row_begin_[p + 1]++;
-    }
-    for (std::size_t p = 0; p < n_; p++) {
-      row_begin_[p + 1] += row_begin_[p];
-    }
-  }
+        cancel_(cancel) {}
 
   /// Entry lists vary in length: the interner keeps offsets.
   std::size_t width() const { return 0; }
@@ -638,15 +763,15 @@ class SparseStore {
   /// parallel batch.
   std::size_t ScratchBytes() const { return 0; }
 
-  /// Q_i = {(v_i, ⊥^k)}. Node indices increase, so the entry list is born
-  /// sorted.
-  std::vector<std::uint64_t> InitialTuple() const {
-    std::vector<std::uint64_t> initial;
-    initial.reserve(n_);
+  /// Entries of the initial tuple: one per node.
+  std::size_t InitialWords() const { return n_; }
+
+  /// Writes Q_i = {(v_i, ⊥^k)}. Node indices increase, so the entry list is
+  /// born sorted.
+  void WriteInitialTuple(std::uint64_t* initial) const {
     for (NodeId v = 0; v < n_; v++) {
-      initial.push_back(PackEntry(v, space_.InitialState(v)));
+      initial[v] = PackEntry(v, space_.InitialState(v));
     }
-    return initial;
   }
 
   void InitScratch(SparseBlockScratch* s) const {
@@ -695,33 +820,52 @@ class SparseStore {
     EnumerateSubsets(0, 0, s);
   }
 
-  /// Safety and acceptance in one streaming pass over the entry list: every
-  /// (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple then solves each
-  /// ⟨v_i, v'⟩ it contains.
+  /// Safety and acceptance of tuple `index` in one walk of S's CSR rows:
+  /// every (v', σ) ∈ Q_i needs ⟨v_i, v'⟩ ∈ S, and a safe tuple solves each
+  /// ⟨v_i, v'⟩ it contains. Pairs are solved as the walk meets them; an
+  /// unsafe tuple accepts no pair, so meeting an entry outside S undoes
+  /// what the walk solved (a second walk over the entries before it).
   template <typename Rel>
   void Accept(std::span<const std::uint64_t> entries, std::size_t index,
-              const Rel& relation, PairBook* book) const {
-    for (std::uint64_t entry : entries) {
-      NodeId i = static_cast<NodeId>(entry >> 32);
-      NodeId v = space_.NodeOf(static_cast<AgState>(entry));
-      if (!relation.Test(i, v)) {
-        return;  // unsafe: this tuple accepts no pair
-      }
-    }
-    for (std::size_t e = 0; e < entries.size() && book->unsolved > 0; e++) {
-      NodeId i = static_cast<NodeId>(entries[e] >> 32);
-      NodeId v = space_.NodeOf(static_cast<AgState>(entries[e]));
-      auto row_end = book->pairs.begin() + row_begin_[i + 1];
-      auto it = std::lower_bound(book->pairs.begin() + row_begin_[i],
-                                 row_end, std::make_pair(i, v));
-      if (it != row_end && it->second == v) {
-        book->Solve(static_cast<std::size_t>(it - book->pairs.begin()),
-                    index);
-      }
+              const Rel& /*relation*/, PairBook* book) const {
+    auto solve = [book, index](std::size_t j) { book->Solve(j, index); };
+    auto unsolve = [book, index](std::size_t j) { book->Unsolve(j, index); };
+    std::size_t safe = WalkRows(entries, book->rows, solve);
+    if (safe < entries.size()) {
+      WalkRows(entries.first(safe), book->rows, unsolve);
     }
   }
 
  private:
+  /// Merge-walks the entry list against S's CSR rows, calling match(j) with
+  /// each entry's pair index in S. Stops at the first entry whose pair is
+  /// not in S; returns how many entries came before it. Entries are sorted
+  /// by (node index, state) and NodeOf is monotone in the state, so within
+  /// a row the targets never decrease and the walk never backs up.
+  template <typename Match>
+  std::size_t WalkRows(std::span<const std::uint64_t> entries,
+                       const PairRows& rows, Match&& match) const {
+    const NodeId* cols = rows.cols().data();
+    std::span<const std::uint64_t> offsets = rows.offsets();
+    std::uint64_t row = ~std::uint64_t{0};
+    const NodeId* at = nullptr;
+    const NodeId* end = nullptr;
+    for (std::size_t e = 0; e < entries.size(); e++) {
+      if ((entries[e] >> 32) != row) {
+        row = entries[e] >> 32;
+        at = cols + offsets[row];
+        end = cols + offsets[row + 1];
+      }
+      NodeId v = space_.NodeOf(static_cast<AgState>(entries[e]));
+      at = SeekColumn(at, end, v);
+      if (at == end || *at != v) {
+        return e;
+      }
+      match(static_cast<std::size_t>(at - cols));
+    }
+    return entries.size();
+  }
+
   void EnumerateSubsets(std::size_t depth, MintermMask condition,
                         SparseBlockScratch* s) const {
     if (s->expired) {
@@ -745,26 +889,31 @@ class SparseStore {
       s->expired = true;
       return;
     }
-    // From-scratch union of the included pattern parts: concatenate the
-    // sorted lists, re-sort, dedup — the sets match the dense Emit's ORs.
-    // A single part is already sorted and deduplicated.
-    const std::vector<std::uint64_t>* merged = &s->parts[s->included[0]];
-    if (s->included_count > 1) {
-      s->merged.clear();
-      for (std::size_t j = 0; j < s->included_count; j++) {
-        const std::vector<std::uint64_t>& part = s->parts[s->included[j]];
-        s->merged.insert(s->merged.end(), part.begin(), part.end());
-      }
-      std::sort(s->merged.begin(), s->merged.end());
-      s->merged.erase(std::unique(s->merged.begin(), s->merged.end()),
-                      s->merged.end());
-      merged = &s->merged;
+    // A single part is already sorted and deduplicated: the candidate is
+    // the part itself.
+    if (s->included_count == 1) {
+      std::uint8_t pattern = s->included[0];
+      const std::vector<std::uint64_t>& part = s->parts[pattern];
+      s->candidates.push_back(
+          Candidate{condition, HashTupleWords(part.data(), part.size()),
+                    pattern, 0, part.size()});
+      return;
     }
+    // From-scratch union of the included parts at the arena's end:
+    // concatenate the sorted lists, re-sort, dedup — the sets match the
+    // dense Emit's ORs.
     std::size_t offset = s->arena.size();
-    s->arena.insert(s->arena.end(), merged->begin(), merged->end());
+    for (std::size_t j = 0; j < s->included_count; j++) {
+      const std::vector<std::uint64_t>& part = s->parts[s->included[j]];
+      s->arena.insert(s->arena.end(), part.begin(), part.end());
+    }
+    auto begin = s->arena.begin() + static_cast<std::ptrdiff_t>(offset);
+    std::sort(begin, s->arena.end());
+    s->arena.erase(std::unique(begin, s->arena.end()), s->arena.end());
+    std::size_t count = s->arena.size() - offset;
     s->candidates.push_back(
-        Candidate{condition, HashTupleWords(merged->data(), merged->size()),
-                  offset, merged->size()});
+        Candidate{condition, HashTupleWords(s->arena.data() + offset, count),
+                  Candidate::kArena, offset, count});
   }
 
   const AgStateSpace& space_;
@@ -772,23 +921,22 @@ class SparseStore {
   std::size_t n_;
   std::size_t num_patterns_;
   const CancelToken* cancel_;
-  std::vector<std::size_t> row_begin_;
 };
 
-/// Fills result->witnesses (one per pair, in Pairs() order) and
-/// result->paths: pair j's blocks are the path from the initial tuple to
-/// its solution tuple along parent links. Each distinct solution tuple's
-/// path is stored once, in first-occurrence order, in one shared run of
-/// blocks that every pair it solves views.
-void Witnesses(const PairBook& book, const std::vector<std::size_t>& parent,
-               const std::vector<BasicRemBlock>& incoming,
-               KRemDefinabilityResult* result) {
+/// Fills result->paths and turns book->solution into each pair's path
+/// index: pair j's blocks are the path from the initial tuple to its
+/// solution tuple along parent links. Each distinct solution tuple's path
+/// is stored once, in first-occurrence order, in one shared run of blocks
+/// that every pair it solves views.
+void Paths(PairBook* book, const std::vector<std::size_t>& parent,
+           const std::vector<BasicRemBlock>& incoming,
+           KRemDefinabilityResult* result) {
   constexpr std::size_t kNoPath = static_cast<std::size_t>(-1);
   std::vector<std::size_t> path_of(parent.size(), kNoPath);
   std::vector<std::size_t> tuples;  ///< each path's solution tuple
   std::vector<std::size_t> ends;    ///< each path's end in the block run
   std::size_t total = 0;
-  for (std::size_t index : book.solution) {
+  for (std::size_t& index : book->solution) {
     if (path_of[index] == kNoPath) {
       path_of[index] = tuples.size();
       tuples.push_back(index);
@@ -797,6 +945,7 @@ void Witnesses(const PairBook& book, const std::vector<std::size_t>& parent,
       }
       ends.push_back(total);
     }
+    index = path_of[index];
   }
   auto blocks = std::make_shared<std::vector<BasicRemBlock>>(total);
   std::size_t begin = 0;
@@ -808,12 +957,6 @@ void Witnesses(const PairBook& book, const std::vector<std::size_t>& parent,
     }
     result->paths.emplace_back(blocks->data() + begin, ends[p] - begin);
     begin = ends[p];
-  }
-  result->witnesses.reserve(book.pairs.size());
-  for (std::size_t j = 0; j < book.pairs.size(); j++) {
-    std::size_t path = path_of[book.solution[j]];
-    result->witnesses.push_back(KRemWitness{
-        book.pairs[j].first, book.pairs[j].second, result->paths[path], path});
   }
   result->path_blocks = std::move(blocks);
 }
@@ -830,11 +973,11 @@ std::size_t ClampThreads(std::size_t requested) {
 
 /// The k-REM BFS over the macro tuples of Lemma 21, generic over the tuple
 /// store (DenseStore or SparseStore) and the relation representation: only
-/// Test() and the PairBook's Pairs() are used, so any AdaptiveRelation
-/// backend drives it without densification. Heads are expanded in
-/// interning order, blocks in (store set, letter) order and candidates in
-/// subset-DFS order, so both stores and every `num_threads` produce the
-/// same verdict, witnesses and tuples_explored.
+/// the dense store's Test() and the PairBook's CSR rows are used, so any
+/// AdaptiveRelation backend drives it without densification. Heads are
+/// expanded in interning order, blocks in (store set, letter) order and
+/// candidates in subset-DFS order, so both stores and every `num_threads`
+/// produce the same verdict, paths and tuples_explored.
 template <typename Store, typename Rel>
 Result<KRemDefinabilityResult> Search(const AgStateSpace& space, Store* store,
                                       const Rel& relation, PairBook* book,
@@ -854,11 +997,12 @@ Result<KRemDefinabilityResult> Search(const AgStateSpace& space, Store* store,
 
   {
     GQD_TRACE_SPAN(span, "krem.arena_init");
-    std::vector<std::uint64_t> initial = store->InitialTuple();
-    GQD_TRACE_SPAN_ATTR(span, Store::kInitAttr, initial.size());
+    GQD_TRACE_SPAN_ATTR(span, Store::kInitAttr, store->InitialWords());
     bool inserted = false;
-    tuples.Intern(initial, HashTupleWords(initial.data(), initial.size()),
-                  &inserted);
+    tuples.InternInPlace(
+        store->InitialWords(),
+        [store](std::uint64_t* words) { store->WriteInitialTuple(words); },
+        &inserted);
     parent.push_back(PairBook::kUnsolved);
     incoming.push_back(BasicRemBlock{});
     process_tuple(0);
@@ -929,8 +1073,7 @@ Result<KRemDefinabilityResult> Search(const AgStateSpace& space, Store* store,
         return;
       }
       bool inserted = false;
-      std::size_t index = tuples.Intern(
-          {s.arena.data() + c.offset, c.count}, c.hash, &inserted);
+      std::size_t index = tuples.Intern(s.Words(c), c.hash, &inserted);
       if (inserted) {
         parent.push_back(head);
         incoming.push_back(BasicRemBlock{mask, label, c.condition});
@@ -1115,7 +1258,7 @@ Result<KRemDefinabilityResult> Search(const AgStateSpace& space, Store* store,
   }
 
   result.verdict = DefinabilityVerdict::kDefinable;
-  Witnesses(*book, parent, incoming, &result);
+  Paths(book, parent, incoming, &result);
   return result;
 }
 
@@ -1139,21 +1282,38 @@ std::size_t DenseTupleFootprintBytes(std::size_t n, std::size_t num_values,
 /// The search half on a built setup: the BFS over its tuple store. The
 /// sparse frontier store runs sequentially.
 template <typename Rel>
-Result<KRemDefinabilityResult> SearchWithSetup(
+Result<KRemSearchOutcome> SearchWithSetup(
     const KRemSetup& setup, const DataGraph& graph, const Rel& relation,
     const KRemDefinabilityOptions& options) {
-  PairBook book(relation.Pairs());
-  if (setup.tuple_store() == KRemTupleStore::kDense) {
-    DenseStore store(setup, graph.NumNodes(), options.engine, options.cancel);
-    return Search(setup.state_space(), &store, relation, &book, options,
-                  options.num_threads);
+  PairBook book(RowsOf(relation));
+  auto search = [&]() -> Result<KRemDefinabilityResult> {
+    if (setup.tuple_store() == KRemTupleStore::kDense) {
+      DenseStore store(setup, graph.NumNodes(), options.engine,
+                       options.cancel);
+      return Search(setup.state_space(), &store, relation, &book, options,
+                    options.num_threads);
+    }
+    SparseStore store(setup.state_space(), graph, options.cancel);
+    return Search(setup.state_space(), &store, relation, &book, options, 1);
+  };
+  GQD_ASSIGN_OR_RETURN(KRemDefinabilityResult result, search());
+  KRemSearchOutcome outcome{std::move(result), std::move(book.rows), {}};
+  if (outcome.result.verdict == DefinabilityVerdict::kDefinable) {
+    outcome.pair_path = std::move(book.solution);
   }
-  SparseStore store(setup.state_space(), graph, book, options.cancel);
-  return Search(setup.state_space(), &store, relation, &book, options, 1);
+  return outcome;
+}
+
+/// The empty relation is definable (e.g. by a[¬⊤], or by any REM whose
+/// language contains no data path of the graph) — no setup needed.
+KRemSearchOutcome EmptyRelationOutcome() {
+  KRemSearchOutcome outcome;
+  outcome.result.verdict = DefinabilityVerdict::kDefinable;
+  return outcome;
 }
 
 template <typename Rel>
-Result<KRemDefinabilityResult> CheckKRemDispatch(
+Result<KRemSearchOutcome> SearchKRemDispatch(
     const DataGraph& graph, const Rel& relation, std::size_t k,
     const KRemDefinabilityOptions& options) {
   if (relation.num_nodes() != graph.NumNodes()) {
@@ -1161,14 +1321,30 @@ Result<KRemDefinabilityResult> CheckKRemDispatch(
         "relation is over a different node count than the graph");
   }
   if (relation.Empty()) {
-    // The empty relation is definable (e.g. by a[¬⊤], or by any REM whose
-    // language contains no data path of the graph) — no setup needed.
-    KRemDefinabilityResult result;
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
+    return EmptyRelationOutcome();
   }
   GQD_ASSIGN_OR_RETURN(KRemSetup setup, BuildKRemSetup(graph, k, options));
   return SearchWithSetup(setup, graph, relation, options);
+}
+
+/// The k-REM result of a search: one witness per pair, in Pairs() order,
+/// viewing its path.
+Result<KRemDefinabilityResult> WithWitnesses(
+    Result<KRemSearchOutcome> searched) {
+  if (!searched.ok()) {
+    return searched.status();
+  }
+  KRemSearchOutcome& outcome = searched.value();
+  KRemDefinabilityResult& result = outcome.result;
+  if (!outcome.pair_path.empty()) {
+    result.witnesses.reserve(outcome.pairs.size());
+    outcome.pairs.ForEach([&](std::size_t j, NodeId from, NodeId to) {
+      std::size_t path = outcome.pair_path[j];
+      result.witnesses.push_back(
+          KRemWitness{from, to, result.paths[path], path});
+    });
+  }
+  return std::move(result);
 }
 
 }  // namespace
@@ -1180,7 +1356,8 @@ Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
   KRemSetup setup;
   setup.auto_store_ =
       DenseTupleFootprintBytes(graph.NumNodes(), graph.NumDataValues(), k) <=
-              kDenseTupleBytesCap
+                  kDenseTupleBytesCap &&
+              AssignmentGraph::WithinCaps(graph, k)
           ? KRemTupleStore::kDense
           : KRemTupleStore::kSparseFrontier;
   setup.store_ = options.tuple_store == KRemTupleStore::kAuto
@@ -1252,10 +1429,10 @@ std::size_t KRemSetup::HeldBytes() const {
   return graph_->HeldBytes() + (with_dispatch_ ? dispatch_.pool_bytes() : 0);
 }
 
-Result<KRemDefinabilityResult> CheckKRemDefinability(
-    const KRemSetup& setup, const DataGraph& graph,
-    const AdaptiveRelation& relation,
-    const KRemDefinabilityOptions& options) {
+Result<KRemSearchOutcome> SearchKRem(const KRemSetup& setup,
+                                     const DataGraph& graph,
+                                     const AdaptiveRelation& relation,
+                                     const KRemDefinabilityOptions& options) {
   if (relation.num_nodes() != graph.NumNodes() ||
       setup.state_space().num_nodes() != graph.NumNodes()) {
     return Status::InvalidArgument(
@@ -1266,23 +1443,42 @@ Result<KRemDefinabilityResult> CheckKRemDefinability(
         "the k-REM setup was built for another engine or tuple store");
   }
   if (relation.Empty()) {
-    KRemDefinabilityResult result;
-    result.verdict = DefinabilityVerdict::kDefinable;
-    return result;
+    return EmptyRelationOutcome();
   }
   return SearchWithSetup(setup, graph, relation, options);
+}
+
+Result<KRemSearchOutcome> SearchKRem(const DataGraph& graph,
+                                     const BinaryRelation& relation,
+                                     std::size_t k,
+                                     const KRemDefinabilityOptions& options) {
+  return SearchKRemDispatch(graph, relation, k, options);
+}
+
+Result<KRemSearchOutcome> SearchKRem(const DataGraph& graph,
+                                     const AdaptiveRelation& relation,
+                                     std::size_t k,
+                                     const KRemDefinabilityOptions& options) {
+  return SearchKRemDispatch(graph, relation, k, options);
+}
+
+Result<KRemDefinabilityResult> CheckKRemDefinability(
+    const KRemSetup& setup, const DataGraph& graph,
+    const AdaptiveRelation& relation,
+    const KRemDefinabilityOptions& options) {
+  return WithWitnesses(SearchKRem(setup, graph, relation, options));
 }
 
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const BinaryRelation& relation, std::size_t k,
     const KRemDefinabilityOptions& options) {
-  return CheckKRemDispatch(graph, relation, k, options);
+  return WithWitnesses(SearchKRem(graph, relation, k, options));
 }
 
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation, std::size_t k,
     const KRemDefinabilityOptions& options) {
-  return CheckKRemDispatch(graph, relation, k, options);
+  return WithWitnesses(SearchKRem(graph, relation, k, options));
 }
 
 Result<KRemDefinabilityResult> CheckRemDefinability(

@@ -76,7 +76,8 @@ enum class KRemEngine {
 /// bytes are charged (each charges its actual allocation, so byte-budget
 /// trip points are store-specific).
 enum class KRemTupleStore {
-  /// kDense while one flat tuple fits kDenseTupleBytesCap, else
+  /// kDense while one flat tuple fits kDenseTupleBytesCap and the
+  /// assignment graph is within AssignmentGraph::WithinCaps, else
   /// kSparseFrontier. The default.
   kAuto,
   /// Flat bitset tuples, n·⌈|Q|/64⌉ words each — O(n²) per tuple at k = 0,
@@ -92,7 +93,8 @@ enum class KRemTupleStore {
 };
 
 /// Above this dense-tuple footprint (words × 8 bytes) KRemTupleStore::kAuto
-/// switches to the sparse frontier store.
+/// switches to the sparse frontier store (as it does past the dense
+/// store's assignment-graph caps).
 inline constexpr std::size_t kDenseTupleBytesCap = std::size_t{64} << 20;
 
 struct KRemDefinabilityOptions {
@@ -125,7 +127,10 @@ struct KRemDefinabilityOptions {
 struct KRemDefinabilityResult {
   DefinabilityVerdict verdict = DefinabilityVerdict::kBudgetExhausted;
   /// One witness per pair of S, in Pairs() order (populated iff verdict ==
-  /// kDefinable).
+  /// kDefinable). The search itself records only each pair's path index;
+  /// CheckKRemDefinability builds this vector from those, and the RPQ
+  /// checker builds its RpqWitness vector from the same indices instead,
+  /// so neither pays for the other's per-pair vector.
   std::vector<KRemWitness> witnesses;
   /// Each distinct witness path once — one per macro tuple that accepted
   /// some pair — in the order of the first pair it witnesses. Distinct
@@ -221,7 +226,8 @@ class KRemSetup {
 /// (and 2^32 − 1 successor entries) for the dense store's materialized
 /// CSR, 2^32 − 1 states for the sparse store's packed entries. Over a cap
 /// the refusal is ResourceExhausted when options.budget has a byte limit,
-/// else OutOfRange.
+/// else OutOfRange. kAuto never picks the dense store past its caps, so
+/// only a forced kDense meets the dense refusal.
 Result<KRemSetup> BuildKRemSetup(const DataGraph& graph, std::size_t k,
                                  const KRemDefinabilityOptions& options = {});
 
@@ -232,10 +238,14 @@ Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const BinaryRelation& relation, std::size_t k,
     const KRemDefinabilityOptions& options = {});
 
-/// Same decision on a density-adaptive relation. The BFS only ever probes
-/// membership (relation.Test) and enumerates S once (relation.Pairs), so
-/// any backend works without densification; verdicts are bit-identical to
-/// the dense overload on the same pair set.
+/// Same decision on a density-adaptive relation. The search's pair book
+/// reads S as CSR rows in Pairs() order: the sparse backend's own
+/// offset/column arrays in place, or one CSR built from the rows of any
+/// other backend. The sparse tuple store's acceptance merge-walks a
+/// tuple's sorted entries against those rows; the dense store probes
+/// membership (relation.Test). So any backend works without
+/// densification, and verdicts are bit-identical to the dense overload on
+/// the same pair set.
 Result<KRemDefinabilityResult> CheckKRemDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation, std::size_t k,
     const KRemDefinabilityOptions& options = {});

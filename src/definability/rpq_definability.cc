@@ -4,6 +4,7 @@
 #include <cassert>
 #include <unordered_set>
 
+#include "definability/krem_search.h"
 #include "obs/trace.h"
 
 namespace gqd {
@@ -104,16 +105,17 @@ Result<RpqDefinabilityResult> FindKillingWord(
 }
 
 /// Shared body, generic over the relation representation (Empty plus
-/// whatever `check_krem` needs); `check_krem` runs the k = 0 search.
-template <typename Rel, typename CheckKRem>
+/// whatever `search_krem` needs); `search_krem` runs the k = 0 search.
+template <typename Rel, typename SearchKRemFn>
 Result<RpqDefinabilityResult> CheckRpqImpl(
     const DataGraph& graph, const Rel& relation,
-    const KRemDefinabilityOptions& options, const CheckKRem& check_krem) {
+    const KRemDefinabilityOptions& options, const SearchKRemFn& search_krem) {
   if (relation.Empty()) {
     return FindKillingWord(graph, options);
   }
   RpqDefinabilityResult result;
-  GQD_ASSIGN_OR_RETURN(KRemDefinabilityResult krem, check_krem());
+  GQD_ASSIGN_OR_RETURN(KRemSearchOutcome outcome, search_krem());
+  KRemDefinabilityResult& krem = outcome.result;
   result.verdict = krem.verdict;
   result.tuples_explored = krem.tuples_explored;
   result.partial = std::move(krem.partial);
@@ -129,11 +131,11 @@ Result<RpqDefinabilityResult> CheckRpqImpl(
         word.push_back(block.label);
       }
     }
-    result.witness_words.reserve(krem.witnesses.size());
-    for (const KRemWitness& witness : krem.witnesses) {
+    result.witness_words.reserve(outcome.pairs.size());
+    outcome.pairs.ForEach([&](std::size_t j, NodeId from, NodeId to) {
       result.witness_words.push_back(
-          RpqWitness{witness.from, witness.to, witness.path});
-    }
+          RpqWitness{from, to, outcome.pair_path[j]});
+    });
   }
   return result;
 }
@@ -144,7 +146,7 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     const DataGraph& graph, const BinaryRelation& relation,
     const KRemDefinabilityOptions& options) {
   return CheckRpqImpl(graph, relation, options, [&] {
-    return CheckKRemDefinability(graph, relation, /*k=*/0, options);
+    return SearchKRem(graph, relation, /*k=*/0, options);
   });
 }
 
@@ -152,7 +154,7 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     const DataGraph& graph, const AdaptiveRelation& relation,
     const KRemDefinabilityOptions& options) {
   return CheckRpqImpl(graph, relation, options, [&] {
-    return CheckKRemDefinability(graph, relation, /*k=*/0, options);
+    return SearchKRem(graph, relation, /*k=*/0, options);
   });
 }
 
@@ -164,7 +166,7 @@ Result<RpqDefinabilityResult> CheckRpqDefinability(
     return Status::InvalidArgument("RPQ checks need a k = 0 setup");
   }
   return CheckRpqImpl(graph, relation, options, [&] {
-    return CheckKRemDefinability(setup, graph, relation, options);
+    return SearchKRem(setup, graph, relation, options);
   });
 }
 

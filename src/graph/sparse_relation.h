@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,6 +106,11 @@ class SparseBinaryRelation {
   /// All pairs in row-major order (the canonical order shared by every
   /// representation).
   std::vector<std::pair<NodeId, NodeId>> Pairs() const;
+
+  /// The CSR arrays themselves: row u is cols()[offsets()[u],
+  /// offsets()[u + 1]), ascending, so pair j of Pairs() is cols()[j].
+  std::span<const std::uint64_t> offsets() const { return offsets_; }
+  std::span<const NodeId> cols() const { return cols_; }
 
   /// Actual footprint of the offsets + column arrays.
   std::size_t ByteSize() const {

@@ -821,6 +821,52 @@ TEST(DefinabilitySetups, SparseStoreRefusesPast32BitStates) {
   EXPECT_EQ(check.status().code(), StatusCode::kOutOfRange);
 }
 
+// A 28-node path whose last two nodes share a value (27 values): at k = 4
+// it has 28·28^4 ≈ 17.2M states, past the dense store's 2^24-state cap,
+// while one dense macro tuple (≈ 60.2 MB) is under the 64 MB footprint cap.
+// kAuto therefore picks the sparse store; forced dense, the setup is
+// refused before anything is allocated.
+TEST(DefinabilitySetups, DenseStorePastItsStateCapIsRefused) {
+  DataGraph g;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 28; i++) {
+    nodes.push_back(g.AddNodeWithValue("v" + std::to_string(std::min(i, 26)),
+                                       "n" + std::to_string(i)));
+  }
+  for (int i = 0; i + 1 < 28; i++) {
+    g.AddEdgeByName(nodes[i], "a", nodes[i + 1]);
+  }
+  ASSERT_GT(AgStateSpace::StateCount(g, 4), AssignmentGraph::kMaxBuildStates);
+  EXPECT_FALSE(AssignmentGraph::WithinCaps(g, 4));
+  EXPECT_TRUE(AssignmentGraph::WithinCaps(g, 3));
+  BinaryRelation s(g.NumNodes());
+  s.Set(nodes[0], nodes[1]);
+
+  auto automatic = BuildKRemSetup(g, 4);
+  ASSERT_TRUE(automatic.ok()) << automatic.status();
+  EXPECT_EQ(automatic.value().tuple_store(), KRemTupleStore::kSparseFrontier);
+
+  KRemDefinabilityOptions dense;
+  dense.tuple_store = KRemTupleStore::kDense;
+  ResourceBudget bytes(100'000'000, 0);
+  dense.budget = &bytes;
+  auto budgeted = CheckKRemDefinability(g, s, 4, dense);
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_EQ(budgeted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(budgeted.status().message().find("bytes of adjacency"),
+            std::string::npos)
+      << budgeted.status();
+  EXPECT_EQ(bytes.bytes_used(), 0u) << "refused before allocating";
+
+  dense.budget = nullptr;
+  auto unbudgeted = CheckKRemDefinability(g, s, 4, dense);
+  ASSERT_FALSE(unbudgeted.ok());
+  EXPECT_EQ(unbudgeted.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(unbudgeted.status().message().find("assignment graph too large"),
+            std::string::npos)
+      << unbudgeted.status();
+}
+
 // A held setup keeps only what the planned engine reads, and a budget that
 // could change the build, or non-default caps, rule reuse out.
 TEST(DefinabilitySetups, ReuseRulesFollowTheRecordedBuild) {

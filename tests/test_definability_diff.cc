@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <set>
 #include <span>
 
 #include <gtest/gtest.h>
@@ -1000,6 +1001,128 @@ TEST(RelationBackendDiff, RpqIdenticalAcrossBackends) {
           << "seed " << seed;
     }
   }
+}
+
+/// Rows of the macro tuple that `blocks` reaches from the initial tuple
+/// (sequence (2) in the proof of Lemma 21) holding several states of one
+/// node, recomputed from AgStateSpace alone. Acceptance meets such a row as
+/// several entries against one column of S.
+std::size_t RowsWithRepeatedNodes(const DataGraph& g, std::size_t k,
+                                  std::span<const BasicRemBlock> blocks) {
+  AgStateSpace space(g, k);
+  std::size_t rows = 0;
+  for (NodeId i = 0; i < g.NumNodes(); i++) {
+    std::set<AgState> q = {space.InitialState(i)};
+    for (const BasicRemBlock& block : blocks) {
+      std::set<AgState> next;
+      for (AgState s : q) {
+        space.ForEachSuccessor(g, s, block.store_mask, block.label,
+                               [&](AgState t, std::uint8_t pattern) {
+                                 if ((block.condition >> pattern) & 1u) {
+                                   next.insert(t);
+                                 }
+                               });
+      }
+      q = std::move(next);
+    }
+    std::set<NodeId> nodes;
+    for (AgState s : q) {
+      nodes.insert(space.NodeOf(s));
+    }
+    rows += nodes.size() < q.size() ? 1 : 0;
+  }
+  return rows;
+}
+
+TEST(RelationBackendDiff, EveryBackendAndStoreGivesTheSameWitnesses) {
+  // S as a BinaryRelation and as each AdaptiveRelation backend, on both
+  // tuple stores: the same verdict, tuples_explored, paths and witnesses
+  // (and, at k = 0, the same RPQ words and witness_words). The relations
+  // are random ones (mostly refuted) and REM-defined ones whose witnesses
+  // store a register after the first letter, so a safe tuple holds
+  // several states of one node in a row.
+  const char* queries[] = {"a b", "a ($r1. a b [r1=])",
+                           "(a | b) ($r1. (a | b) a [r1!=])",
+                           "b ($r1. a+ [r1=])"};
+  constexpr KRemTupleStore kStores[] = {KRemTupleStore::kDense,
+                                        KRemTupleStore::kSparseFrontier};
+  std::size_t definable = 0;
+  std::size_t repeated_rows = 0;
+  for (std::uint64_t seed = 1; seed <= 8; seed++) {
+    DataGraph g = RandomDataGraph({.num_nodes = 5 + seed % 4,
+                                   .num_labels = 2,
+                                   .num_data_values = 2 + seed % 2,
+                                   .edge_percent = 30,
+                                   .seed = seed});
+    std::vector<BinaryRelation> relations = {
+        RandomRelation(g.NumNodes(), 20, seed * 13 + 5)};
+    for (const char* query : queries) {
+      relations.push_back(EvaluateRem(g, ParseRem(query).ValueOrDie()));
+    }
+    for (std::size_t r = 0; r < relations.size(); r++) {
+      const BinaryRelation& s = relations[r];
+      if (s.Empty()) {
+        continue;
+      }
+      std::vector<AdaptiveRelation> adaptive;
+      for (RelationBackend backend : kAllBackends) {
+        adaptive.push_back(
+            AdaptiveRelation::FromPairs(g.NumNodes(), PairsOf(s), backend));
+      }
+      for (std::size_t k : {0, 1, 2}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " relation " +
+                     std::to_string(r) + " k " + std::to_string(k));
+        KRemDefinabilityOptions options;
+        options.max_tuples = 20'000;
+        options.tuple_store = KRemTupleStore::kDense;
+        auto want = CheckKRemDefinability(g, s, k, options);
+        ASSERT_TRUE(want.ok()) << want.status();
+        auto want_rpq = CheckRpqDefinability(g, s, options);
+        ASSERT_TRUE(want_rpq.ok()) << want_rpq.status();
+        if (want.value().verdict == DefinabilityVerdict::kDefinable) {
+          definable++;
+          for (std::span<const BasicRemBlock> path : want.value().paths) {
+            repeated_rows += RowsWithRepeatedNodes(g, k, path);
+          }
+        }
+        for (KRemTupleStore store : kStores) {
+          options.tuple_store = store;
+          auto binary = CheckKRemDefinability(g, s, k, options);
+          ASSERT_TRUE(binary.ok()) << binary.status();
+          ExpectSameKRemResult(want.value(), binary.value(), seed);
+          for (const AdaptiveRelation& a : adaptive) {
+            SCOPED_TRACE(std::string("backend ") +
+                         RelationBackendName(a.backend()) + " store " +
+                         std::to_string(static_cast<int>(store)));
+            auto got = CheckKRemDefinability(g, a, k, options);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ExpectSameKRemResult(want.value(), got.value(), seed);
+            if (k != 0) {
+              continue;
+            }
+            auto rpq = CheckRpqDefinability(g, a, options);
+            ASSERT_TRUE(rpq.ok()) << rpq.status();
+            EXPECT_EQ(rpq.value().verdict, want_rpq.value().verdict);
+            EXPECT_EQ(rpq.value().tuples_explored,
+                      want_rpq.value().tuples_explored);
+            EXPECT_EQ(rpq.value().words, want_rpq.value().words);
+            EXPECT_EQ(rpq.value().witness_words,
+                      want_rpq.value().witness_words);
+            // The RPQ witnesses are the k = 0 k-REM witnesses, pair by pair.
+            const std::vector<KRemWitness>& krem = got.value().witnesses;
+            ASSERT_EQ(rpq.value().witness_words.size(), krem.size());
+            for (std::size_t j = 0; j < krem.size(); j++) {
+              EXPECT_EQ(rpq.value().witness_words[j],
+                        (RpqWitness{krem[j].from, krem[j].to, krem[j].path}));
+            }
+          }
+        }
+      }
+    }
+  }
+  // The instances exercise what the test is about.
+  EXPECT_GT(definable, 20u);
+  EXPECT_GT(repeated_rows, 10u);
 }
 
 // --- Storage backends: resident vs mmap must be bit-identical -----------
